@@ -6,7 +6,7 @@ Integrates the coupled evolution law
 
 with H confined to a "driver" subspace and F to a trace-orthogonal
 "constraint" subspace of traceless Hermitian matrices.  Tracks the
-conserved quantities (Tr H^2, Tr(HF), eigenvalues of H, state norm) and
+conserved quantities (Tr H^2, Tr(HF), the spectrum of H + F, state norm) and
 checks the boundary operator identity {G, P} = G.
 """
 
@@ -63,6 +63,14 @@ class ControlProblem:
 
     driver_basis spans the admissible Hamiltonians H, constraint_basis the
     multiplier operator F; the two spans must be trace-orthogonal.
+
+    In the orthonormalized bases D (driver) and C (constraint), H = h . D and
+    F = f . C, and the projected flow is the real bilinear system
+
+        dy_k = sum_ab T[k, a, b] h_a f_b,   T[k, a, b] = Re Tr(B_k (-i)[D_a, C_b])
+
+    on y = (h, f), with B = D stacked on C.  The subspaces hold exactly in
+    these coordinates, so no projection is needed while stepping.
     """
 
     dim: int
@@ -72,6 +80,7 @@ class ControlProblem:
 
     _driver: np.ndarray = field(init=False, repr=False)
     _constraint: np.ndarray = field(init=False, repr=False)
+    _flow_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.energy_bound_k <= 0:
@@ -87,6 +96,32 @@ class ControlProblem:
                     raise ValidationError(
                         f"driver and constraint subspaces not trace-orthogonal "
                         f"(Tr(d g) = {ip:.3e})")
+        D, C = self._driver, self._constraint
+        B = np.concatenate([D, C])
+        T = np.empty((len(B), len(D), len(C)))
+        for a, Da in enumerate(D):
+            # Re Tr(B_k (-i) X) = Im Tr(B_k X)
+            T[:, a, :] = np.einsum("kij,bji->kb", B, Da @ C - C @ Da).imag
+        # stored as (k*a, b) so that flow() is two matrix products
+        self._flow_tensor = T.reshape(len(B) * len(D), len(C))
+
+    def coefficients(self, H, F) -> np.ndarray:
+        """y = (h, f): coordinates of H and F in the orthonormal bases."""
+        return np.concatenate([np.einsum("kij,ji->k", self._driver, H).real,
+                               np.einsum("kij,ji->k", self._constraint, F).real])
+
+    def matrices(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """(H, F) from coordinates y; leading axes of y are kept."""
+        nd, n = self._driver.shape[0], self.dim
+        lead = np.shape(y)[:-1]
+        H = y[..., :nd] @ self._driver.reshape(nd, n * n)
+        F = y[..., nd:] @ self._constraint.reshape(-1, n * n)
+        return H.reshape(*lead, n, n), F.reshape(*lead, n, n)
+
+    def flow(self, y) -> np.ndarray:
+        """dy/dt of the projected flow at y = (h, f)."""
+        nd = self._driver.shape[0]
+        return (self._flow_tensor @ y[nd:]).reshape(-1, nd) @ y[:nd]
 
     def project_driver(self, C: np.ndarray) -> np.ndarray:
         coeffs = np.einsum("kij,ji->k", self._driver, C).real
@@ -97,16 +132,6 @@ class ControlProblem:
             return np.zeros_like(C)
         coeffs = np.einsum("kij,ji->k", self._constraint, C).real
         return np.einsum("k,kij->ij", coeffs, self._constraint)
-
-
-@dataclass(frozen=True)
-class BrachState:
-    """Snapshot of the joint system at one time."""
-
-    t: float
-    H: np.ndarray
-    F: np.ndarray
-    psi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,11 +146,6 @@ class Trajectory:
     trH2_drift: np.ndarray      # relative drift of Tr H^2
     trHF_residual: np.ndarray
     eigenvalue_drift: np.ndarray   # spectrum drift of G = H + F
-
-    @property
-    def samples(self) -> list:
-        return [BrachState(float(t), H, F, psi)
-                for t, H, F, psi in zip(self.times, self.Hs, self.Fs, self.psis)]
 
 
 class BrachRhs(NamedTuple):
@@ -154,25 +174,28 @@ def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
     return BrachRhs(dH, dF, residual)
 
 
-def _rhs_raw(H, F, psi, problem):
-    C = -1j * (H @ F - F @ H)
-    return (-1j * (H @ psi),
-            problem.project_driver(C),
-            problem.project_constraint(C))
+def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dy/dt = rhs(y)."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
            dt: float = 1e-4, record_every: int = 1) -> Trajectory:
     """Fixed-step RK4 on the joint system (psi, H, F).
 
-    After each step psi is renormalized if its norm drifts beyond 1e-12 and
-    H, F are re-projected onto their subspaces.  Aborts with DriftAbort if
-    any tracked invariant drifts beyond 1e-4.
+    H and F are stepped in their subspace coordinates (ControlProblem.flow),
+    so they stay in their subspaces exactly; psi is stepped alongside and
+    renormalized if its norm drifts beyond 1e-12.  H0 and F0 must lie in
+    their subspaces to 1e-8.  Aborts with DriftAbort if any tracked
+    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    H = problem.project_driver(check_hermitian(H0))
-    F = problem.project_constraint(check_hermitian(F0))
+    H, F = check_hermitian(H0), check_hermitian(F0)
     psi = check_state(psi0)
     brach_rhs(H, F, problem)  # validate subspace membership at t=0
 
@@ -185,7 +208,7 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
     times, Hs, Fs, psis = [], [], [], []
     norm_d, trH2_d, trHF_r, eig_d = [], [], [], []
 
-    def record(t, H, F, psi):
+    def record(step, t, H, F, psi):
         times.append(t)
         Hs.append(H)
         Fs.append(F)
@@ -195,34 +218,33 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
         trHF_r.append(abs(trace_inner(H, F)))
         eig_d.append(np.max(np.abs(np.linalg.eigvalsh(H + F) - eig0))
                      / eig_scale)
-        if max(norm_d[-1], trH2_d[-1], trHF_r[-1]) > DRIFT_ABORT:
+        if max(norm_d[-1], trH2_d[-1], trHF_r[-1], eig_d[-1]) > DRIFT_ABORT:
             raise DriftAbort(
                 f"invariant drift beyond {DRIFT_ABORT:g} at t={t:.6f}",
-                {"t": t, "norm_drift": norm_d[-1], "trH2_drift": trH2_d[-1],
-                 "trHF_residual": trHF_r[-1]})
+                {"t": t, "step": step, "norm_drift": norm_d[-1],
+                 "trH2_drift": trH2_d[-1], "trHF_residual": trHF_r[-1],
+                 "eigenvalue_drift": eig_d[-1]})
 
-    record(0.0, H, F, psi)
-    t = 0.0
+    # state z = (h, f, Re/Im psi) as one real array
+    y = problem.coefficients(H, F)
+    m, nd, n = y.shape[0], problem._driver.shape[0], problem.dim
+    driver = problem._driver.reshape(nd, n * n)
+
+    def rhs(z):
+        H = (z[:nd] @ driver).reshape(n, n)
+        dpsi = -1j * (H @ z[m:].view(complex))
+        return np.concatenate([problem.flow(z[:m]), dpsi.view(float)])
+
+    z = np.concatenate([y, psi.view(float)])
+    record(0, 0.0, *problem.matrices(y), psi)
     for step in range(1, n_steps + 1):
-        k1p, k1H, k1F = _rhs_raw(H, F, psi, problem)
-        k2p, k2H, k2F = _rhs_raw(H + 0.5 * dt * k1H, F + 0.5 * dt * k1F,
-                                 psi + 0.5 * dt * k1p, problem)
-        k3p, k3H, k3F = _rhs_raw(H + 0.5 * dt * k2H, F + 0.5 * dt * k2F,
-                                 psi + 0.5 * dt * k2p, problem)
-        k4p, k4H, k4F = _rhs_raw(H + dt * k3H, F + dt * k3F,
-                                 psi + dt * k3p, problem)
-        psi = psi + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        H = H + (dt / 6.0) * (k1H + 2 * k2H + 2 * k3H + k4H)
-        F = F + (dt / 6.0) * (k1F + 2 * k2F + 2 * k3F + k4F)
-        # keep the flow on its manifold against roundoff
-        H = problem.project_driver(0.5 * (H + H.conj().T))
-        F = problem.project_constraint(0.5 * (F + F.conj().T))
+        z = rk4_step(rhs, z, dt)
+        psi = z[m:].view(complex)
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > RENORM_THRESHOLD:
-            psi = psi / nrm
-        t = step * dt
+            z[m:] /= nrm
         if step % record_every == 0 or step == n_steps:
-            record(t, H, F, psi)
+            record(step, step * dt, *problem.matrices(z[:m]), psi.copy())
 
     return Trajectory(np.array(times), np.array(Hs), np.array(Fs),
                       np.array(psis), np.array(norm_d), np.array(trH2_d),
@@ -247,34 +269,6 @@ def boundary_residual(G, P) -> float:
     if np.max(np.abs(P @ P - P)) > 1e-10:
         raise ValidationError("P is not a projector")
     return float(np.max(np.abs(anticommutator(G, P) - G)))
-
-
-def observables(psi, H) -> dict:
-    """Three-level invariant bilinears f1..f6 plus energy moments.
-
-        f1 = c1 c3* - c1* c3     f2 = c2 c3* - c2* c3    f3 = c1 c2* + c1* c2
-        f4 = c2 c3* + c2* c3     f5 = c1 c3* + c1* c3    f6 = c1 c2* - c1* c2
-    """
-    v = check_state(psi)
-    if v.shape[0] != 3:
-        raise ValidationError("observables requires a three-level state")
-    A = check_hermitian(H)
-    c1, c2, c3 = v
-    Hv = A @ v
-    mean = np.vdot(v, Hv).real
-    second = np.vdot(Hv, Hv).real
-    return {
-        "f1": c1 * c3.conjugate() - c1.conjugate() * c3,
-        "f2": c2 * c3.conjugate() - c2.conjugate() * c3,
-        "f3": c1 * c2.conjugate() + c1.conjugate() * c2,
-        "f4": c2 * c3.conjugate() + c2.conjugate() * c3,
-        "f5": c1 * c3.conjugate() + c1.conjugate() * c3,
-        "f6": c1 * c2.conjugate() - c1.conjugate() * c2,
-        "H_mean": mean,
-        "H2_mean": second,
-        "delta_E": np.sqrt(max(second - mean * mean, 0.0)),
-        "probabilities": np.abs(v) ** 2,
-    }
 
 
 # --- SU(2) multivector form -------------------------------------------------

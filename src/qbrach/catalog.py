@@ -18,7 +18,7 @@ import numpy as np
 
 from .matcore import (ValidationError, as_matrix, check_hermitian, expm_h,
                       ordered_exponential)
-from .brach import ControlProblem, evolve, trace_inner
+from .brach import ControlProblem, evolve, rk4_step, trace_inner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -429,11 +429,6 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
 # two-qubit exchange chain
 # ---------------------------------------------------------------------------
 
-def _pauli_products():
-    sig = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-    return sig
-
-
 def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     """Isotropic-exchange driver with lambda_y = -lambda_x, lambda_z = 0.
 
@@ -445,7 +440,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     if lambda_x == 0:
         raise ValidationError("lambda_x must be nonzero")
     lx = float(lambda_x)
-    sig = _pauli_products()
+    sig = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
     driver = [np.kron(sig[a], sig[a]) / 2.0 for a in ("x", "y", "z")]
     constraint = ([np.kron(sig[a], np.eye(2)) / 2.0 for a in "xyz"]
                   + [np.kron(np.eye(2), sig[a]) / 2.0 for a in "xyz"]
@@ -628,30 +623,23 @@ class PartitionResult:
     max_excursion: float
 
 
-def _evolve_pair(problem, H, F, n_steps, dt, ref=None):
-    """Lean RK4 on (H, F) only.
+def _h_distance(problem, ys, y_ref):
+    """Max-entry distance |H(y) - H(y_ref)| for each row of ys."""
+    H, _ = problem.matrices(ys - y_ref)
+    return np.max(np.abs(H), axis=(-2, -1))
 
-    Returns the endpoint and per-step max-entry distances of H from `ref`
-    (defaults to the starting H).
+
+def _evolve_pair(problem, y, n_steps, dt, y_ref):
+    """RK4 on the coordinates y = (h, f) of (H, F) only.
+
+    Returns the endpoint and per-step max-entry distances of H from the H
+    of `y_ref`.
     """
-    d = np.empty(n_steps)
-    H0 = H.copy() if ref is None else ref
-
-    def rhs(H, F):
-        C = -1j * (H @ F - F @ H)
-        return problem.project_driver(C), problem.project_constraint(C)
-
+    ys = np.empty((n_steps, y.shape[0]))
     for s in range(n_steps):
-        k1H, k1F = rhs(H, F)
-        k2H, k2F = rhs(H + 0.5 * dt * k1H, F + 0.5 * dt * k1F)
-        k3H, k3F = rhs(H + 0.5 * dt * k2H, F + 0.5 * dt * k2F)
-        k4H, k4F = rhs(H + dt * k3H, F + dt * k3F)
-        H = H + (dt / 6) * (k1H + 2 * k2H + 2 * k3H + k4H)
-        F = F + (dt / 6) * (k1F + 2 * k2F + 2 * k3F + k4F)
-        H = problem.project_driver(0.5 * (H + H.conj().T))
-        F = problem.project_constraint(0.5 * (F + F.conj().T))
-        d[s] = np.max(np.abs(H - H0))
-    return H, F, d
+        y = rk4_step(problem.flow, y, dt)
+        ys[s] = y
+    return y, _h_distance(problem, ys, y_ref)
 
 
 def _classify_flow(problem, H0, F0, t_max=50.0, dt=1e-3,
@@ -664,16 +652,17 @@ def _classify_flow(problem, H0, F0, t_max=50.0, dt=1e-3,
     """
     n_steps = int(round(t_max / dt))
     snap_every = 100
-    snaps = {0: (H0.copy(), F0.copy())}
-    H, F = H0.copy(), F0.copy()
+    y0 = problem.coefficients(H0, F0)
+    snaps = {0: y0}
+    y = y0
     dists = np.empty(n_steps + 1)
     dists[0] = 0.0
     chunk = snap_every
     for start in range(0, n_steps, chunk):
         m = min(chunk, n_steps - start)
-        H, F, d = _evolve_pair(problem, H, F, m, dt, ref=H0)
+        y, d = _evolve_pair(problem, y, m, dt, y0)
         dists[start + 1:start + m + 1] = d
-        snaps[start + m] = (H.copy(), F.copy())
+        snaps[start + m] = y
     max_exc = float(np.max(dists))
     if max_exc <= 1e-10:
         return "constant", None, max_exc
@@ -686,7 +675,7 @@ def _classify_flow(problem, H0, F0, t_max=50.0, dt=1e-3,
         if dists[s] < 1e-2 and dists[s] <= dists[s - 1] and \
                 (s == n_steps - 1 or dists[s] <= dists[s + 1]):
             t_ref, d_ref = _refine_recurrence(problem, snaps, snap_every,
-                                              dt, s, H0)
+                                              dt, s, y0)
             if d_ref < tol:
                 best = (t_ref, d_ref)
                 break
@@ -695,29 +684,28 @@ def _classify_flow(problem, H0, F0, t_max=50.0, dt=1e-3,
     return "neither", None, max_exc
 
 
-def _refine_recurrence(problem, snaps, snap_every, dt, s, H0):
+def _refine_recurrence(problem, snaps, snap_every, dt, s, y0):
     """Two-stage step refinement of a candidate recurrence near step s."""
     base = (s // snap_every) * snap_every
-    H, F = snaps[base]
+    y = snaps[base]
     t0, width = base * dt, (s - base) * dt
     lo = max(t0, t0 + width - 2 * dt)
     # integrate from the snapshot up to the window start
     n_pre = int(round((lo - t0) / dt))
     if n_pre:
-        H, F, _ = _evolve_pair(problem, H, F, n_pre, dt, ref=H0)
-    t_best, d_best = lo, float(np.max(np.abs(H - H0)))
+        y, _ = _evolve_pair(problem, y, n_pre, dt, y0)
+    t_best, d_best = lo, float(_h_distance(problem, y, y0))
     dt_fine, span = dt / 50.0, 4 * dt
     for _ in range(2):
         n_f = int(round(span / dt_fine))
-        Hf, Ff, d = _evolve_pair(problem, H.copy(), F.copy(), n_f, dt_fine,
-                                 ref=H0)
+        _, d = _evolve_pair(problem, y, n_f, dt_fine, y0)
         i = int(np.argmin(d))
         if d[i] < d_best:
             d_best, t_best = float(d[i]), lo + (i + 1) * dt_fine
         # narrow onto the minimum for the second pass
         n_pre2 = max(i - 25, 0)
         if n_pre2:
-            H, F, _ = _evolve_pair(problem, H, F, n_pre2, dt_fine, ref=H0)
+            y, _ = _evolve_pair(problem, y, n_pre2, dt_fine, y0)
             lo += n_pre2 * dt_fine
         span, dt_fine = 50 * dt_fine, dt_fine / 50.0
     return t_best, d_best

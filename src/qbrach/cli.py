@@ -75,30 +75,38 @@ def _complex_columns(dim: int):
     return cols
 
 
-def _scenario_rows(scn, t_max: float, dt: float):
-    """Sample a closed-form scenario on a uniform grid."""
-    n = max(int(round(t_max / dt)), 1)
-    header = (["t"] + _complex_columns(scn.dim)
-              + ["trH2", "trHF", "norm"])
-    if scn.target is not None:
+def _table(samples, dim: int, target=None):
+    """Header and rows for trajectory samples (t, psi, H, F)."""
+    header = ["t"] + _complex_columns(dim) + ["trH2", "trHF", "norm"]
+    if target is not None:
         header.append("fidelity_to_target")
     rows = []
-    for i in range(n + 1):
-        t = min(i * dt, t_max)
-        psi = scn.state_at(t)
-        H = scn.hamiltonian_at(t)
-        F = scn.constraint_at(t) if scn.constraint_at is not None \
-            else np.zeros_like(H)
+    for t, psi, H, F in samples:
         row = [t]
         for c in psi:
             row.extend((c.real, c.imag))
         row.append(float(np.trace(H @ H).real))
         row.append(float(np.trace(H @ F).real))
         row.append(float(np.linalg.norm(psi)))
-        if scn.target is not None:
-            row.append(float(abs(np.vdot(scn.target, psi)) ** 2))
+        if target is not None:
+            row.append(float(abs(np.vdot(target, psi)) ** 2))
         rows.append(row)
     return header, rows
+
+
+def _scenario_rows(scn, t_max: float, dt: float):
+    """Sample a closed-form scenario on a uniform grid."""
+    n = max(int(round(t_max / dt)), 1)
+
+    def samples():
+        for i in range(n + 1):
+            t = min(i * dt, t_max)
+            H = scn.hamiltonian_at(t)
+            F = scn.constraint_at(t) if scn.constraint_at is not None \
+                else np.zeros_like(H)
+            yield t, scn.state_at(t), H, F
+
+    return _table(samples(), scn.dim, scn.target)
 
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
@@ -113,18 +121,16 @@ def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     record_every = max(int(round(1e-3 / dt)), 1)
     traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, t_max, dt,
                         record_every=record_every)
-    header = ["t"] + _complex_columns(n) + ["trH2", "trHF", "norm"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        H, F, psi = traj.Hs[i], traj.Fs[i], traj.psis[i]
-        row = [float(t)]
-        for c in psi:
-            row.extend((c.real, c.imag))
-        row.append(float(np.trace(H @ H).real))
-        row.append(float(np.trace(H @ F).real))
-        row.append(float(np.linalg.norm(psi)))
-        rows.append(row)
-    return header, rows
+    return _table(zip(map(float, traj.times), traj.psis, traj.Hs, traj.Fs), n)
+
+
+def _write_text(text: str, out) -> None:
+    """Write text to the file `out`, or to stdout when out is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_table(header, rows, out, fmt: str):
@@ -137,11 +143,7 @@ def _write_table(header, rows, out, fmt: str):
         payload = {"columns": header,
                    "rows": [[float(FMT % v) for v in row] for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, out)
 
 
 def _partition_output(out, fmt: str, t_max: float, dt: float, seed: int):
@@ -162,11 +164,7 @@ def _partition_output(out, fmt: str, t_max: float, dt: float, seed: int):
             "classification": r.classification,
             "period": r.period, "max_excursion": r.max_excursion}
             for r in results], indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, out)
 
 
 def cmd_run(args) -> int:
@@ -218,11 +216,7 @@ def cmd_verify(args) -> int:
         n_fail = sum(r.status == "fail" for r in env.records)
         lines.append(f"{len(env.records)} checks, {n_fail} failures")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return EXIT_OK if not env.has_failures() else 1
 
 
@@ -253,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--seed", type=int, default=42)
-    p_run.add_argument("--tol", type=float, default=1e-6)
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run a verification sweep")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import brach
+from qbrach import brach, catalog
 from qbrach.matcore import ValidationError, commutator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,6 +46,21 @@ class TestRhs:
         assert np.max(np.abs(prob.project_constraint(rhs.dH))) < 1e-12
         assert np.max(np.abs(prob.project_driver(rhs.dF))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["antidiagonal", "tridiagonal",
+                                      "diagonal"])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_coefficient_flow_matches_matrix_rhs(self, n, kind):
+        prob = catalog.family_sun(n, kind).problem
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A = A + A.conj().T
+            H, F = prob.project_driver(A), prob.project_constraint(A)
+            rhs = brach.brach_rhs(H, F, prob)
+            y = prob.coefficients(H, F)
+            expected = prob.coefficients(rhs.dH, rhs.dF)
+            assert np.max(np.abs(prob.flow(y) - expected)) < 1e-12
+
 
 class TestEvolve:
     def test_invariants_su2(self):
@@ -74,6 +89,40 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             brach.evolve(su2_problem(), SY, 0.1 * SZ,
                          np.array([1, 0], dtype=complex), 1.0, dt=0.0)
+
+    def test_rejects_initial_data_outside_subspaces(self):
+        psi0 = np.array([1, 0], dtype=complex)
+        with pytest.raises(ValidationError):
+            brach.evolve(su2_problem(), SZ, SX, psi0, 1.0, dt=1e-2)
+        with pytest.raises(ValidationError):
+            brach.evolve(su2_problem(), SY + 1e-6 * SZ, SZ, psi0, 1.0,
+                         dt=1e-2)
+
+    def test_spectrum_drift_aborts(self):
+        # a diagonal H is exactly constant, so with an unstable dt only the
+        # spectrum of H + F drifts
+        fam = catalog.family_sun(3, "diagonal")
+        psi0 = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(brach.DriftAbort) as info:
+            brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 4.0, dt=1.0)
+        diag = info.value.diagnostics
+        assert diag["step"] == 1
+        assert diag["eigenvalue_drift"] > brach.DRIFT_ABORT
+        assert diag["trH2_drift"] < 1e-12
+
+    def test_convergence_order_four(self):
+        fam = catalog.family_sun(4, "tridiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        finals = []
+        for dt in (0.1, 0.05, 0.025):
+            traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 2.0,
+                                dt=dt, record_every=10**6)
+            finals.append(np.concatenate([traj.Hs[-1].ravel(),
+                                          traj.Fs[-1].ravel(),
+                                          traj.psis[-1]]))
+        e1 = np.max(np.abs(finals[0] - finals[1]))
+        e2 = np.max(np.abs(finals[1] - finals[2]))
+        assert abs(np.log2(e1 / e2) - 4.0) < 0.3
 
 
 class TestBoundary:
