@@ -10,8 +10,8 @@ from qbrach import catalog
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--t-max", type=float, default=50.0)
-    ap.add_argument("--dt", type=float, default=1e-3)
+    ap.add_argument("--t-max", type=float, default=catalog.CENSUS_T_MAX)
+    ap.add_argument("--dt", type=float, default=catalog.CENSUS_DT)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 

@@ -6,8 +6,7 @@ Integrates the coupled evolution law
 
 with H confined to a "driver" subspace and F to a trace-orthogonal
 "constraint" subspace of traceless Hermitian matrices.  Tracks the
-conserved quantities (Tr H^2, Tr(HF), the spectrum of H + F, state norm) and
-checks the boundary operator identity {G, P} = G.
+conserved quantities (Tr H^2, Tr(HF), the spectrum of H + F, state norm).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .matcore import (ValidationError, as_matrix, check_hermitian, check_state,
-                      commutator, anticommutator, trace_inner, hermitian_eig)
+                      commutator, trace_inner)
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
@@ -59,7 +58,7 @@ def _orthonormalize(basis: Sequence[np.ndarray], label: str,
 
 @dataclass
 class ControlProblem:
-    """One brachistochrone instance: subspace bases plus the energy bound.
+    """One brachistochrone instance: the driver and constraint subspace bases.
 
     driver_basis spans the admissible Hamiltonians H, constraint_basis the
     multiplier operator F; the two spans must be trace-orthogonal.
@@ -76,15 +75,12 @@ class ControlProblem:
     dim: int
     driver_basis: Sequence[np.ndarray]
     constraint_basis: Sequence[np.ndarray]
-    energy_bound_k: float
 
     _driver: np.ndarray = field(init=False, repr=False)
     _constraint: np.ndarray = field(init=False, repr=False)
     _flow_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.energy_bound_k <= 0:
-            raise ValidationError("energy_bound_k must be positive")
         self._driver = _orthonormalize(self.driver_basis, "driver")
         self._constraint = (_orthonormalize(self.constraint_basis, "constraint")
                             if len(self.constraint_basis) > 0
@@ -151,7 +147,6 @@ class Trajectory:
 class BrachRhs(NamedTuple):
     dH: np.ndarray
     dF: np.ndarray
-    projection_residual: float
 
 
 def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
@@ -159,7 +154,6 @@ def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
 
     C = -i[H, F] is Hermitian; the returned derivatives are its
     trace-orthogonal projections onto the driver and constraint subspaces.
-    The part of C lying in neither subspace is reported as a residual.
     """
     H, F = check_hermitian(H), check_hermitian(F)
     res_H = np.max(np.abs(H - problem.project_driver(H))) if H.size else 0.0
@@ -168,10 +162,7 @@ def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
         raise ValidationError(
             f"H/F not in their subspaces (residuals {res_H:.3e}, {res_F:.3e})")
     C = -1j * commutator(H, F)
-    dH = problem.project_driver(C)
-    dF = problem.project_constraint(C)
-    residual = float(np.max(np.abs(C - dH - dF))) if C.size else 0.0
-    return BrachRhs(dH, dF, residual)
+    return BrachRhs(problem.project_driver(C), problem.project_constraint(C))
 
 
 def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
@@ -249,26 +240,6 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
     return Trajectory(np.array(times), np.array(Hs), np.array(Fs),
                       np.array(psis), np.array(norm_d), np.array(trH2_d),
                       np.array(trHF_r), np.array(eig_d))
-
-
-def g_operator(H, F, psi) -> np.ndarray:
-    """G = (H + F) - <psi|(H + F)|psi> |psi><psi|."""
-    H, F = check_hermitian(H), check_hermitian(F)
-    v = check_state(psi)
-    if H.shape[0] != v.shape[0]:
-        raise ValidationError("dimension mismatch in g_operator")
-    HF = H + F
-    mean = np.vdot(v, HF @ v).real
-    P = np.outer(v, v.conj())
-    return HF - mean * P
-
-
-def boundary_residual(G, P) -> float:
-    """||{G, P} - G||_max for a pure projector P (boundary condition check)."""
-    G, P = check_hermitian(G), check_hermitian(P)
-    if np.max(np.abs(P @ P - P)) > 1e-10:
-        raise ValidationError("P is not a projector")
-    return float(np.max(np.abs(anticommutator(G, P) - G)))
 
 
 # --- SU(2) multivector form -------------------------------------------------

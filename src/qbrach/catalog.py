@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matcore import (ValidationError, as_matrix, check_hermitian, expm_h,
-                      ordered_exponential)
+from .matcore import ValidationError, as_matrix, expm_h, ordered_exponential
 from .brach import ControlProblem, evolve, rk4_step, trace_inner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,14 +70,12 @@ class Scenario:
     extras: dict = field(default_factory=dict)
     _state_fn: Optional[Callable] = None
 
-    def state_at(self, t: float, psi0=None) -> np.ndarray:
-        """psi(t); uses the dedicated closed form for the default psi0."""
-        if psi0 is None or (self.psi0 is not None
-                            and np.allclose(psi0, self.psi0, atol=1e-14)):
-            if self._state_fn is not None:
-                return self._state_fn(t)
-            psi0 = self.psi0
-        return self.propagator_at(t) @ np.asarray(psi0, dtype=complex)
+    def state_at(self, t: float) -> np.ndarray:
+        """psi(t) from psi0: the dedicated closed form if the scenario has
+        one, else U(t) psi0."""
+        if self._state_fn is not None:
+            return self._state_fn(t)
+        return self.propagator_at(t) @ self.psi0
 
 
 def _nearest_multiple_residual(x: float, unit: float) -> float:
@@ -123,8 +120,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
     problem = ControlProblem(
         dim=2,
         driver_basis=[SIGMA_X / np.sqrt(2), SIGMA_Y / np.sqrt(2)],
-        constraint_basis=[SIGMA_Z / np.sqrt(2)],
-        energy_bound_k=k)
+        constraint_basis=[SIGMA_Z / np.sqrt(2)])
     quant = (
         ("rotating-frame angle quantization: Omega' T = m pi/2",
          lambda T: _nearest_multiple_residual(Op * T, np.pi / 2)),
@@ -141,9 +137,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
         min_time=np.pi / (2 * np.sqrt(k)),
         period=(np.pi / Omega if Omega else 2 * np.pi / np.sqrt(k)),
         quantization=quant,
-        problem=problem,
-        extras={"Omega_prime": Op},
-        _state_fn=lambda t: prop(t) @ psi0)
+        problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +173,7 @@ def scenario_so3(n_z: float = 0.6, eps: complex = 0.8) -> Scenario:
         dim=3,
         driver_basis=[_sym(3, 0, 2), _asym(3, 0, 2),
                       np.diag([1.0, 0.0, -1.0]).astype(complex) / np.sqrt(2)],
-        constraint_basis=[],
-        energy_bound_k=R2)
+        constraint_basis=[])
     return Scenario(
         name="so3", dim=3,
         params={"n_z": n_z, "eps": eps},
@@ -237,8 +230,7 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
     problem = ControlProblem(
         dim=3,
         driver_basis=[_sym(3, 0, 1), _asym(3, 1, 2)],
-        constraint_basis=[_sym(3, 0, 2)],
-        energy_bound_k=R**2)
+        constraint_basis=[_sym(3, 0, 2)])
     return Scenario(
         name="su3-elliptic", dim=3,
         params={"R": R, "Omega": Omega, "Delta0": tuple(D)},
@@ -248,18 +240,18 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
         psi0=psi0,
         period=(2 * np.pi / abs(Omega) if Omega else 2 * np.pi / R),
         problem=problem,
-        extras={"Omega_prime": Op, "z": (z1, z2, z3)},
-        _state_fn=lambda t: prop(t) @ psi0)
+        extras={"z": (z1, z2, z3)})
 
 
 def elliptic_printed_state(R: float, Omega: float, z: Sequence[complex],
                            t: float) -> np.ndarray:
-    """The c_j(t) display exactly as printed (kept for discrepancy reports).
+    """The c_j(t) display exactly as printed.
 
     The display is internally inconsistent: c1's leading prefactor reads
     sin(Omega' t) where the dynamics require sin(Omega t), c2's sin term is
     short one factor of Omega', and c3/psi(0) disagree about the phase of
-    the third component.  See elliptic state discrepancy records.
+    the third component; scenario_su3_elliptic's state_at is the consistent
+    form.
     """
     z1, z2, z3 = z
     Op = np.sqrt(R**2 + Omega**2)
@@ -333,8 +325,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
         dim=3,
         driver_basis=[_sym(3, 0, 1), _asym(3, 0, 1),
                       _sym(3, 1, 2), _asym(3, 1, 2)],
-        constraint_basis=[_sym(3, 0, 2), _asym(3, 0, 2)],
-        energy_bound_k=R**2)
+        constraint_basis=[_sym(3, 0, 2), _asym(3, 0, 2)])
     quant = (
         ("node condition: T Delta = n pi",
          lambda T: _nearest_multiple_residual(T * Delta, np.pi)),
@@ -354,8 +345,6 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
         period=2 * np.pi / kmod,
         quantization=quant,
         problem=problem,
-        extras={"Delta": Delta,
-                "min_time_from_eps": np.sqrt(3) * np.pi / (2 * R)},
         _state_fn=state)
 
 
@@ -410,8 +399,7 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
     problem = ControlProblem(
         dim=3,
         driver_basis=[_asym(3, 0, 1), _asym(3, 1, 2)],
-        constraint_basis=[_asym(3, 0, 2)],
-        energy_bound_k=R2)
+        constraint_basis=[_asym(3, 0, 2)])
     return Scenario(
         name="frenet", dim=3,
         params={"A": A, "B": B, "C": C, "N": N, "eta": eta},
@@ -421,8 +409,7 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
         psi0=psi0,
         period=(2 * np.pi / abs(eta) if eta else 2 * np.pi / R),
         problem=problem,
-        extras={"R": R, "eigvecs": eigvecs},
-        _state_fn=lambda t: prop(t) @ psi0)
+        extras={"R": R, "eigvecs": eigvecs})
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +444,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     bell = np.array([1, 0, 0, -1j], dtype=complex) / np.sqrt(2)
     problem = ControlProblem(dim=4, driver_basis=driver,
-                             constraint_basis=constraint,
-                             energy_bound_k=4 * lx**2)
+                             constraint_basis=constraint)
     return Scenario(
         name="su4-heisenberg", dim=4,
         params={"lambda_x": lx},
@@ -470,8 +456,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
         period=np.pi / lx,
         problem=problem,
         extras={"bell_time": np.pi / (8 * lx),
-                "printed_min_time_claim": np.pi / lx,
-                "printed_state_prefactor": 1 / np.sqrt(2)},
+                "printed_min_time_claim": np.pi / lx},
         _state_fn=state)
 
 
@@ -504,16 +489,6 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
     X2 = np.array([[0, xi2], [np.conj(xi2), 0]])
     H0 = np.block([[alpha * np.eye(2), B], [B.conj().T, -alpha * np.eye(2)]])
     K = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    W = np.kron((SIGMA_X + SIGMA_Z) / np.sqrt(2), np.eye(2))
-    # column-eigenvector map; the printed form lacks the 1/sqrt(2) needed
-    # for P P^dag = 1, which is restored here (discrepancy recorded)
-    b_block = alpha * np.eye(2) + 1j * np.array(
-        [[p_z, eps], [np.conj(eps), -p_z]])
-    P = np.block([[np.eye(2), np.eye(2)],
-                  [b_block, -b_block]]) / np.sqrt(2)
-
-    def frame_at(t):
-        return np.diag(np.exp(1j * t * np.array([1.0, 1.0, -1.0, -1.0])))
 
     def ham(t):
         ph = np.exp(-2j * t)
@@ -537,9 +512,7 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
         constraint_at=constraint,
         psi0=psi0,
         period=np.pi,
-        min_time=np.pi,  # T_min * ||E|| = pi with ||E|| = 1 after rescaling
-        extras={"W": W, "P": P, "frame_at": frame_at, "B": B},
-        _state_fn=lambda t: prop(t) @ psi0)
+        min_time=np.pi)  # T_min * ||E|| = pi with ||E|| = 1 after rescaling
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +580,14 @@ def family_sun(n: int, kind: str, seed: int = 42) -> FamilyInstance:
     for c, g in zip(fc, constraint):
         F0 += c * g
     problem = ControlProblem(dim=n, driver_basis=driver,
-                             constraint_basis=constraint, energy_bound_k=1.0)
+                             constraint_basis=constraint)
     return FamilyInstance(n=n, kind=kind, H0=H0, F0=F0, problem=problem)
+
+
+# census grid: long enough to find the recurrences of pairs 2 and 3 (periods
+# 10.88 and 14.23 at seed 42)
+CENSUS_T_MAX = 50.0
+CENSUS_DT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -642,7 +621,7 @@ def _evolve_pair(problem, y, n_steps, dt, y_ref):
     return y, _h_distance(problem, ys, y_ref)
 
 
-def _classify_flow(problem, H0, F0, t_max=50.0, dt=1e-3,
+def _classify_flow(problem, H0, F0, t_max=CENSUS_T_MAX, dt=CENSUS_DT,
                    tol=1e-6) -> tuple[str, Optional[float], float]:
     """Grid search for recurrence of H(t) to H(0), with local refinement.
 
@@ -711,7 +690,7 @@ def _refine_recurrence(problem, snaps, snap_every, dt, s, y0):
     return t_best, d_best
 
 
-def su3_partitions(t_max: float = 50.0, dt: float = 1e-3,
+def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
                    seed: int = 42) -> list[PartitionResult]:
     """The four three-level driver/constraint splittings, classified.
 
@@ -763,9 +742,7 @@ def su3_partitions(t_max: float = 50.0, dt: float = 1e-3,
                   d_basis, c_basis, H0, F0))
 
     for idx, (desc, db, cb, H0, F0) in enumerate(specs, start=1):
-        problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb,
-                                 energy_bound_k=max(trace_inner(H0, H0) / 2,
-                                                    1e-12))
+        problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb)
         H0p = problem.project_driver(H0)
         F0p = problem.project_constraint(F0)
         cls, period, exc = _classify_flow(problem, H0p, F0p, t_max, dt)

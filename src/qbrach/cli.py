@@ -6,16 +6,16 @@ Subcommands:
     verify         -- run a module verification sweep, emit a report
     list-scenarios -- print the scenario registry
 
-Exit codes: 0 success, 2 integrator drift abort, 64 unknown scenario,
-65 bad parameters.
+Exit codes: 0 success, 1 verification failure, 2 integrator drift abort,
+64 unknown scenario, 65 bad parameters.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -35,6 +35,12 @@ SCENARIO_NAMES = (*catalog.SCENARIO_BUILDERS.keys(),
                   "sun-family", "su3-partitions")
 
 FMT = "%.17g"
+
+# `run` rejects a grid of more than this many steps (t_max / dt) before any
+# work: 20x the longest documented run, the census at t_max 50, dt 1e-3
+MAX_STEPS = 10**6
+RUN_T_MAX = 1.0
+RUN_DT = 1e-3
 
 
 def _setup_logging():
@@ -146,6 +152,27 @@ def _write_table(header, rows, out, fmt: str):
     _write_text(text, out)
 
 
+def _grid(args) -> tuple[float, float]:
+    """(t_max, dt) of a run, checked before any work.
+
+    Absent values default to RUN_T_MAX/RUN_DT, or for su3-partitions to the
+    census grid.  Both must be finite, with dt > 0, t_max >= dt and at most
+    MAX_STEPS steps.
+    """
+    census = args.scenario == "su3-partitions"
+    t_max = args.t_max if args.t_max is not None else (
+        catalog.CENSUS_T_MAX if census else RUN_T_MAX)
+    dt = args.dt if args.dt is not None else (
+        catalog.CENSUS_DT if census else RUN_DT)
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValidationError("t_max and dt must be finite")
+    if dt <= 0 or t_max < dt:
+        raise ValidationError("need dt > 0 and t_max >= dt")
+    if t_max / dt > MAX_STEPS:
+        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
+    return t_max, dt
+
+
 def _partition_output(out, fmt: str, t_max: float, dt: float, seed: int):
     results = catalog.su3_partitions(t_max=t_max, dt=dt, seed=seed)
     if fmt == "csv":
@@ -174,19 +201,18 @@ def cmd_run(args) -> int:
         return EXIT_UNKNOWN_SCENARIO
     try:
         params = _parse_params(args.param)
-        if args.dt <= 0 or args.t_max < args.dt:
-            raise ValidationError("need dt > 0 and t_max >= dt")
+        t_max, dt = _grid(args)
         if args.scenario == "su3-partitions":
-            _partition_output(args.out, args.format, args.t_max, args.dt,
-                              args.seed)
+            if params:
+                raise ValidationError("su3-partitions takes no --param")
+            _partition_output(args.out, args.format, t_max, dt, args.seed)
             return EXIT_OK
         if args.scenario == "sun-family":
-            header, rows = _family_rows(params, args.t_max, args.dt,
-                                        args.seed)
+            header, rows = _family_rows(params, t_max, dt, args.seed)
         else:
             builder = catalog.SCENARIO_BUILDERS[args.scenario]
             scn = builder(**params)
-            header, rows = _scenario_rows(scn, args.t_max, args.dt)
+            header, rows = _scenario_rows(scn, t_max, dt)
     except brach.DriftAbort as exc:
         print(f"drift abort: {exc}", file=sys.stderr)
         return EXIT_DRIFT
@@ -203,7 +229,7 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    env = report.run_suite(args.suite)
+    env = report.run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         text = json.dumps(env.to_dict(), indent=2) + "\n"
     else:
@@ -242,8 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--param", action="append", metavar="k=v",
                        help="scenario parameter override (repeatable)")
-    p_run.add_argument("--t-max", type=float, default=1.0)
-    p_run.add_argument("--dt", type=float, default=1e-3)
+    p_run.add_argument("--t-max", type=float, default=None,
+                       help=f"default {RUN_T_MAX:g}; su3-partitions: "
+                            f"{catalog.CENSUS_T_MAX:g}")
+    p_run.add_argument("--dt", type=float, default=None,
+                       help=f"default {RUN_DT:g}; su3-partitions: "
+                            f"{catalog.CENSUS_DT:g}")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--seed", type=int, default=42)
@@ -255,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="all")
     p_ver.add_argument("--format", choices=("json", "text"), default="text")
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--tol", type=float, default=1e-6)
+    p_ver.add_argument("--seed", type=int, default=42,
+                       help="seed of the randomized checks")
     p_ver.set_defaults(func=cmd_verify)
 
     p_list = sub.add_parser("list-scenarios",

@@ -13,7 +13,7 @@ silently correcting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,25 +34,14 @@ def verify_unitary(M: np.ndarray, tol: float = 1e-12) -> float:
                      np.max(np.abs(M @ M.conj().T - I))))
 
 
-def conjugate(U: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """U H U†."""
-    U, H = as_matrix(U), as_matrix(H)
-    if U.shape != H.shape:
-        raise ValidationError("dimension mismatch in conjugation")
-    return U @ H @ U.conj().T
-
-
 @dataclass(frozen=True)
 class GateEntry:
-    """A named matrix family and the properties claimed for it."""
+    """A named matrix family; `notes` flags a printed display that is not
+    unitary."""
 
     name: str
     builder: Callable[..., np.ndarray]
-    claims: tuple = ()
     notes: str = ""
-
-    def __call__(self, *args, **kwargs) -> np.ndarray:
-        return self.builder(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +79,13 @@ def u2_phase(theta: float) -> np.ndarray:
 
 def su2_catalog() -> list[GateEntry]:
     return [
-        GateEntry("u2_hadamard", u2_hadamard, ("unitary",)),
-        GateEntry("u2_phased", u2_phased, ("unitary",),
+        GateEntry("u2_hadamard", u2_hadamard),
+        GateEntry("u2_phased", u2_phased,
                   "printed display fails unitarity for theta != 0"),
-        GateEntry("u2_rotation", u2_rotation, ("unitary", "hermitian")),
-        GateEntry("u2_not", u2_not, ("unitary", "permutation",
-                                     "involution")),
-        GateEntry("u2_half_phased", u2_half_phased, ("unitary",)),
-        GateEntry("u2_phase", u2_phase, ("unitary",)),
+        GateEntry("u2_rotation", u2_rotation),
+        GateEntry("u2_not", u2_not),
+        GateEntry("u2_half_phased", u2_half_phased),
+        GateEntry("u2_phase", u2_phase),
     ]
 
 
@@ -149,14 +137,6 @@ def elliptic_hamiltonian(phi: float) -> np.ndarray:
     return np.array([[0, c, 0], [c, 0, -1j * s], [0, 1j * s, 0]])
 
 
-def curvature_torsion_hamiltonian(t: float) -> np.ndarray:
-    """Antisymmetric rotor with curvature cos(t), torsion sin(t); equal to
-    D(t) diag(1,-1,0) D(t)^dag."""
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[0, -1j * c, 0], [1j * c, 0, -1j * s],
-                     [0, 1j * s, 0]])
-
-
 def propagator_gate(theta: float) -> np.ndarray:
     """Closed-form propagator 1 - i sin(theta) H + (cos(theta)-1) H^2 of
     the angle-theta coupling pattern; entries are polynomial in
@@ -170,12 +150,11 @@ def propagator_gate(theta: float) -> np.ndarray:
 
 def su3_catalog() -> list[GateEntry]:
     return [
-        GateEntry("d_gate", d_gate, ("unitary",)),
-        GateEntry("j_gate", j_gate, ("unitary",)),
-        GateEntry("q_gate", q_gate, ("unitary",)),
-        GateEntry("propagator_gate", propagator_gate, ("unitary",)),
-        GateEntry("n_swap", lambda: N_SWAP,
-                  ("unitary", "permutation", "involution")),
+        GateEntry("d_gate", d_gate),
+        GateEntry("j_gate", j_gate),
+        GateEntry("q_gate", q_gate),
+        GateEntry("propagator_gate", propagator_gate),
+        GateEntry("n_swap", lambda: N_SWAP),
     ]
 
 
@@ -292,8 +271,6 @@ X_SO3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
 Y_SO3 = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]])
 Z_SO3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
-A_UPPER = (np.diag([1.0, 1.0], 1) + np.diag([1.0], 2)).astype(complex)
-
 
 def split_dft_w(chi: float) -> np.ndarray:
     w = np.exp(1j * chi)
@@ -318,15 +295,11 @@ def dft_checks(chi: float = 0.4) -> dict:
     reported alongside the correct expansion.
     """
     rep = {}
-    z = Z_CUBE_ROOT
     rep["R_unitary"] = verify_unitary(R_DFT)
     rep["R_fourth_root"] = float(np.max(np.abs(
         np.linalg.matrix_power(R_DFT, 4) - np.eye(3))))
     perm = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     rep["RtR_permutation"] = float(np.max(np.abs(R_DFT.T @ R_DFT - perm)))
-    rep["z_cubed"] = abs(z**3 - 1)
-    rep["z_square_conj"] = abs(z**2 - np.conj(z))
-    rep["z_modulus"] = abs(abs(z) - 1)
     rep["XY_commutator"] = float(np.max(np.abs(
         (X_SO3 @ Y_SO3 - Y_SO3 @ X_SO3) - 2j * Z_SO3)))
     rep["XZ_commutator"] = float(np.max(np.abs(
@@ -358,8 +331,6 @@ def dft_checks(chi: float = 0.4) -> dict:
                 - 1j * np.sin(th) * (4 * np.sin(th)**2 - 3)))
     rep["de_moivre_1_minus_j2"] = abs(
         (1 - k**2) - (2 * np.sin(th)**2 - 2j * np.sin(th) * np.cos(th)))
-    rep["conjugation_symmetry"] = max(
-        abs((1 - k**-l) - np.conj(1 - k**l)) for l in (1, 2, 3))
     return rep
 
 
@@ -382,10 +353,8 @@ def group_closure(generators: Sequence[np.ndarray], tol: float = 1e-9,
     abelian flag.  Raises if the closure exceeds max_order elements.
     """
     def key(M):
-        return tuple(np.round(M / tol).astype(np.int64).ravel().tolist()) \
-            if False else tuple(
-                (round(x.real / tol), round(x.imag / tol))
-                for x in M.ravel())
+        return tuple((round(x.real / tol), round(x.imag / tol))
+                     for x in M.ravel())
 
     elements = []
     seen = {}
@@ -411,7 +380,6 @@ def group_closure(generators: Sequence[np.ndarray], tol: float = 1e-9,
                     changed = True
     n = len(elements)
     table = np.empty((n, n), dtype=int)
-    abelian = True
     for i in range(n):
         for j in range(n):
             table[i, j] = seen[key(elements[i] @ elements[j])]
@@ -483,20 +451,18 @@ def su4_catalog() -> list[GateEntry]:
     U9 = np.eye(4)[[0, 3, 1, 2]].astype(complex)
     U10 = np.eye(4)[[0, 1, 3, 2]].astype(complex)
     return [
-        GateEntry("u4_block_swap", lambda: U3, ("unitary", "permutation")),
-        GateEntry("u4_pairwise_mix", lambda: U4, ("unitary",)),
-        GateEntry("u4_block_hadamard_i", lambda: U5, ("unitary",)),
-        GateEntry("u4_spinor_hadamard", lambda: U6, ("unitary",)),
-        GateEntry("u4_cross_hadamard", lambda: U7, ("unitary",)),
-        GateEntry("u4_sign_pattern", lambda: U8a, ("unitary",),
+        GateEntry("u4_block_swap", lambda: U3),
+        GateEntry("u4_pairwise_mix", lambda: U4),
+        GateEntry("u4_block_hadamard_i", lambda: U5),
+        GateEntry("u4_spinor_hadamard", lambda: U6),
+        GateEntry("u4_cross_hadamard", lambda: U7),
+        GateEntry("u4_sign_pattern", lambda: U8a,
                   "printed with 1/sqrt(2) prefactor; rows have norm "
                   "sqrt(2), so the printed matrix is not unitary"),
-        GateEntry("u4_dft", lambda: U8b, ("unitary",)),
-        GateEntry("u4_cycle_132", lambda: U9, ("unitary", "permutation")),
-        GateEntry("u4_swap_34", lambda: U10, ("unitary", "permutation",
-                                              "involution")),
-        GateEntry("w_spinor", lambda: W_SPINOR, ("unitary", "hermitian",
-                                                 "involution")),
+        GateEntry("u4_dft", lambda: U8b),
+        GateEntry("u4_cycle_132", lambda: U9),
+        GateEntry("u4_swap_34", lambda: U10),
+        GateEntry("w_spinor", lambda: W_SPINOR),
     ]
 
 
@@ -543,7 +509,6 @@ def tri_ops(A: TriangularElement, Ap: TriangularElement) -> dict:
                                   - 0.5 * (N @ N) * t**2)
 
     t_probe = 0.83
-    lam = np.exp(-1j * t_probe)
     # spectral reference: exp of a Jordan block via the terminating series
     # is exact, so compare against a high-order scaled Taylor sum
     ref = np.eye(3)

@@ -2,10 +2,10 @@
 
 Everything downstream (the brachistochrone integrator, the scenario catalog,
 the gate checks) works with plain square numpy arrays at desk scale
-(dim <= ~16).  This module provides the validated primitives: traceless
-gauge fixing, trace inner products, Hermitian eigendecomposition with a
-deterministic phase convention, matrix exponentials, reference-frame
-transforms and the step-ordered exponential.
+(dim <= ~16).  This module provides the validated primitives: the
+commutator, trace inner products, Hermitian eigendecomposition with a
+deterministic phase convention, the spectral matrix exponential and the
+step-ordered exponential.
 """
 
 from __future__ import annotations
@@ -49,25 +49,11 @@ def check_state(psi, tol: float = STATE_TOL) -> np.ndarray:
     return v
 
 
-def traceless_gauge(M, tol: float = HERM_TOL) -> np.ndarray:
-    """Remove the trace part: M - (Tr M / n) 1.  Requires Hermitian input."""
-    A = check_hermitian(M, tol)
-    n = A.shape[0]
-    return A - (np.trace(A) / n) * np.eye(n)
-
-
 def commutator(A, B) -> np.ndarray:
     A, B = as_matrix(A), as_matrix(B)
     if A.shape != B.shape:
         raise ValidationError("dimension mismatch in commutator")
     return A @ B - B @ A
-
-
-def anticommutator(A, B) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise ValidationError("dimension mismatch in anticommutator")
-    return A @ B + B @ A
 
 
 def trace_inner(A, B) -> float:
@@ -114,56 +100,6 @@ def expm_h(H, t: float = 1.0) -> np.ndarray:
     phases = np.exp(-1j * spec.eigenvalues * t)
     V = spec.eigenvectors
     return (V * phases) @ V.conj().T
-
-
-def expm_spectral_zero_sym(H, rho: float, theta: float,
-                           tol: float = 1e-8) -> np.ndarray:
-    """exp(-i H theta) for H with spectrum {-rho, 0, rho}, in closed form.
-
-    Uses the Cayley-Hamilton reduction H^3 = rho^2 H:
-        U = 1 - i (sin(rho theta)/rho) H + ((cos(rho theta) - 1)/rho^2) H^2
-    """
-    A = check_hermitian(H)
-    if rho <= 0:
-        raise ValidationError("rho must be positive")
-    dev = np.max(np.abs(A @ A @ A - rho**2 * A))
-    if dev > tol:
-        raise ValidationError(
-            f"Cayley-Hamilton precondition violated: ||H^3 - rho^2 H|| = {dev:.3e}")
-    n = A.shape[0]
-    return (np.eye(n)
-            - 1j * (np.sin(rho * theta) / rho) * A
-            + ((np.cos(rho * theta) - 1.0) / rho**2) * (A @ A))
-
-
-def energy_variance(H, psi) -> float:
-    """<H^2> - <H>^2 on a normalized state, clamped at zero."""
-    A = check_hermitian(H)
-    v = check_state(psi)
-    if A.shape[0] != v.shape[0]:
-        raise ValidationError("dimension mismatch in energy_variance")
-    Hv = A @ v
-    mean = np.vdot(v, Hv).real
-    second = np.vdot(Hv, Hv).real
-    var = second - mean * mean
-    return max(var, 0.0)
-
-
-def picture_transform(H: Callable[[float], np.ndarray],
-                      S: Callable[[float], np.ndarray],
-                      dS_dt: Callable[[float], np.ndarray]
-                      ) -> Callable[[float], np.ndarray]:
-    """Co-rotating-frame Hamiltonian t -> dS/dt + e^{-iS(t)} H(t) e^{+iS(t)}.
-
-    The caller supplies dS/dt analytically.
-    """
-
-    def transformed(t: float) -> np.ndarray:
-        St = check_hermitian(S(t))
-        U = expm_h(St, 1.0)           # e^{-iS}
-        return as_matrix(dS_dt(t)) + U @ as_matrix(H(t)) @ U.conj().T
-
-    return transformed
 
 
 def ordered_exponential(H: Callable[[float], np.ndarray],

@@ -330,7 +330,11 @@ SUITES = {"gates": verify_gates, "special": verify_special,
           "catalog": verify_catalog}
 
 
-def run_suite(name: str) -> ReportEnvelope:
+def run_suite(name: str, seed: int = 42) -> ReportEnvelope:
+    """One suite, or all three merged; seed reaches the seeded suites."""
+    def run(key):
+        return SUITES[key]() if key == "gates" else SUITES[key](seed=seed)
+
     if name == "all":
-        return merge([SUITES[k]() for k in ("gates", "special", "catalog")])
-    return SUITES[name]()
+        return merge([run(k) for k in ("gates", "special", "catalog")])
+    return run(name)

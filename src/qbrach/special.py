@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .brach import rk4_step
 from .matcore import ValidationError
 
 
@@ -267,11 +268,7 @@ def spinwave_lattice_oracle(t: float, n_sites: int = 201,
     steps = int(round(t / dt))
     h = t / steps if steps else dt
     for _ in range(steps):
-        k1 = rhs(C)
-        k2 = rhs(C + 0.5 * h * k1)
-        k3 = rhs(C + 0.5 * h * k2)
-        k4 = rhs(C + h * k3)
-        C = C + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        C = rk4_step(rhs, C, h)
     return C
 
 

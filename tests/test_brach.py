@@ -10,20 +10,18 @@ SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
-def su2_problem(k=1.0):
+def su2_problem():
     return brach.ControlProblem(
         dim=2,
         driver_basis=[SX / np.sqrt(2), SY / np.sqrt(2)],
-        constraint_basis=[SZ / np.sqrt(2)],
-        energy_bound_k=k)
+        constraint_basis=[SZ / np.sqrt(2)])
 
 
 class TestControlProblem:
     def test_rejects_overlapping_subspaces(self):
         with pytest.raises(ValidationError):
             brach.ControlProblem(dim=2, driver_basis=[SX, SZ],
-                                 constraint_basis=[SZ],
-                                 energy_bound_k=1.0)
+                                 constraint_basis=[SZ])
 
     def test_projections_are_idempotent(self):
         prob = su2_problem()
@@ -123,20 +121,6 @@ class TestEvolve:
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert abs(np.log2(e1 / e2) - 4.0) < 0.3
-
-
-class TestBoundary:
-    def test_g_operator_traceless_expectation(self):
-        psi = np.array([1, 2j, -1]) / np.sqrt(6)
-        rng = np.random.default_rng(3)
-        H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        H = H + H.conj().T
-        G = brach.g_operator(H, np.zeros((3, 3)), psi)
-        assert abs(np.vdot(psi, G @ psi)) < 1e-12
-
-    def test_boundary_residual_projector_check(self):
-        with pytest.raises(ValidationError):
-            brach.boundary_residual(SZ, 0.5 * np.eye(2))
 
 
 class TestSu2Vector:

@@ -37,6 +37,52 @@ class TestExitCodes:
         assert run_cli(["run", "--scenario", "su2", "--param", "k"]) == 65
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("run started work on a rejected grid")
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize("flag", ["--t-max", "--dt"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_rejected(self, flag, value, capsys):
+        assert run_cli(["run", "--scenario", "su2", flag, value]) == 65
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, attr", [
+        ("su2", None), ("sun-family", "family_sun"),
+        ("su3-partitions", "su3_partitions")])
+    def test_step_cap_checked_before_work(self, scenario, attr, monkeypatch,
+                                          capsys):
+        if attr is None:
+            monkeypatch.setitem(catalog.SCENARIO_BUILDERS, scenario,
+                                _must_not_run)
+        else:
+            monkeypatch.setattr(catalog, attr, _must_not_run)
+        t_max = 2 * cli.MAX_STEPS * 1e-3
+        assert run_cli(["run", "--scenario", scenario,
+                        "--t-max", repr(t_max), "--dt", "1e-3"]) == 65
+        assert str(cli.MAX_STEPS) in capsys.readouterr().err
+
+
+class TestCensusContract:
+    def test_default_grid_is_the_census_grid(self, monkeypatch, tmp_path):
+        seen = {}
+
+        def record(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(catalog, "su3_partitions", record)
+        assert run_cli(["run", "--scenario", "su3-partitions",
+                        "--out", str(tmp_path / "c.csv")]) == 0
+        assert seen == {"t_max": 50.0, "dt": 1e-3, "seed": 42}
+
+    def test_param_rejected(self, monkeypatch):
+        monkeypatch.setattr(catalog, "su3_partitions", _must_not_run)
+        assert run_cli(["run", "--scenario", "su3-partitions",
+                        "--param", "bogus=1", "--t-max", "0.01"]) == 65
+
+
 class TestRunCsv:
     def test_round_trip(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -117,3 +163,17 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "gates"]) == 0
         out = capsys.readouterr().out
         assert "reported-only" in out and "0 failures" in out
+
+    def test_seed_reaches_the_suites(self, tmp_path):
+        residual = {}
+        for seed in (42, 7):
+            out = tmp_path / f"r{seed}.json"
+            assert run_cli(["verify", "--suite", "special", "--seed",
+                            str(seed), "--format", "json",
+                            "--out", str(out)]) == 0
+            (residual[seed],) = [
+                r["residual"] for r in json.loads(out.read_text())["records"]
+                if r["id"] == "chebyshev-trig-definition"]
+        assert residual[42] == pytest.approx(1.22e-14, rel=1e-2)
+        assert residual[7] == pytest.approx(2.00e-14, rel=1e-2)
+        assert residual[42] != residual[7]

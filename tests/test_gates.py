@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import gates
+from qbrach import catalog, gates
 from qbrach.matcore import ValidationError
 
 angles = st.floats(-3.0, 3.0)
@@ -37,7 +37,9 @@ class TestThreeLevel:
     @settings(max_examples=20, deadline=None)
     def test_d_gate_diagonalizes(self, chi):
         D = gates.d_gate(chi)
-        H = gates.curvature_torsion_hamiltonian(chi)
+        # curvature cos(chi), torsion sin(chi)
+        H = catalog.scenario_frenet(A=1, B=0, C=0, N=1,
+                                    eta=1).hamiltonian_at(chi)
         back = D.conj().T @ H @ D
         assert np.max(np.abs(back - gates.L_DIAG)) < 1e-12
 

@@ -34,12 +34,6 @@ class TestValidation:
 
 
 class TestAlgebra:
-    def test_traceless_gauge(self):
-        H = random_hermitian(4, 0)
-        G = mc.traceless_gauge(H)
-        assert abs(np.trace(G)) < 1e-12
-        assert np.max(np.abs((H - G) - (np.trace(H) / 4) * np.eye(4))) < 1e-12
-
     def test_commutator_antisymmetry(self):
         A, B = random_hermitian(3, 1), random_hermitian(3, 2)
         assert np.max(np.abs(mc.commutator(A, B)
@@ -80,28 +74,9 @@ class TestSpectral:
         V2 = mc.hermitian_eig(H.copy()).eigenvectors
         assert np.array_equal(V1, V2)
 
-    def test_expm_spectral_zero_sym(self):
-        H = np.array([[0, 0, 0.8], [0, 0, 0], [0.8, 0, 0]], dtype=complex)
-        U = mc.expm_spectral_zero_sym(H, 0.8, 1.3)
-        assert np.max(np.abs(U - mc.expm_h(H, 1.3))) < 1e-12
-
-    def test_expm_spectral_zero_sym_rejects_bad_spectrum(self):
-        with pytest.raises(mc.ValidationError):
-            mc.expm_spectral_zero_sym(np.diag([1.0, 2.0, 3.0]), 1.0, 0.5)
-
-    def test_energy_variance_eigenstate_zero(self):
-        H = np.diag([1.0, 2.0, 3.0])
-        assert mc.energy_variance(H, [0, 1, 0]) == 0.0
-
 
 class TestPropagation:
     def test_ordered_exponential_constant(self):
         H = random_hermitian(3, 8)
         U = mc.ordered_exponential(lambda t: H, 1.0, 1e-3)
         assert np.max(np.abs(U - mc.expm_h(H, 1.0))) < 1e-10
-
-    def test_picture_transform_static_frame(self):
-        H = random_hermitian(2, 9)
-        Z = np.zeros((2, 2), dtype=complex)
-        Ht = mc.picture_transform(lambda t: H, lambda t: Z, lambda t: Z)
-        assert np.max(np.abs(Ht(0.3) - H)) < 1e-12
