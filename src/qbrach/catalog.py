@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, as_matrix, expm_h, ordered_exponential
+from .matcore import ValidationError, hermitian_eig, ordered_exponential
 from .brach import ControlProblem, evolve, rk4_step, trace_inner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -78,6 +78,16 @@ class Scenario:
         return self.propagator_at(t) @ self.psi0
 
 
+def _frame_propagator(A, H0) -> Callable[[float], np.ndarray]:
+    """U(t) = e^{iAt} e^{-i(H0+A)t} for a constant generator A.
+
+    This is the co-rotating-frame solution of H(t) = e^{iAt} H0 e^{-iAt};
+    both spectra are taken once, here, so each U(t) costs two products.
+    """
+    frame, body = hermitian_eig(A), hermitian_eig(H0 + A)
+    return lambda t: frame.expm(-t) @ body.expm(t)
+
+
 def _nearest_multiple_residual(x: float, unit: float) -> float:
     """Distance of x from the nearest integer multiple of `unit`."""
     m = round(x / unit)
@@ -110,9 +120,6 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
         ph = np.exp(2j * Omega * t)
         return np.array([[0, eps0 * ph], [np.conj(eps0 * ph), 0]])
 
-    def prop(t):
-        return expm_h(SIGMA_Z, -Omega * t) @ expm_h(H0 + Omega * SIGMA_Z, t)
-
     psi0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
     # boundary transfer target exists when eps0 = -eps0* (pure imaginary)
     target = (np.array([1, -1], dtype=complex) / np.sqrt(2)
@@ -131,7 +138,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
         name="su2", dim=2,
         params={"k": k, "Omega": Omega, "eps0": eps0},
         hamiltonian_at=ham,
-        propagator_at=prop,
+        propagator_at=_frame_propagator(Omega * SIGMA_Z, H0),
         constraint_at=lambda t: Omega * SIGMA_Z,
         psi0=psi0, target=target,
         min_time=np.pi / (2 * np.sqrt(k)),
@@ -218,14 +225,10 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
                      1j * (Omega * z1 + 1j * R * z2) / Op**2])
 
     H0 = R * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    W = H0 + Omega * _CORNER
 
     def ham(t):
         c, s = np.cos(Omega * t), np.sin(Omega * t)
         return R * np.array([[0, c, 0], [c, 0, -1j * s], [0, 1j * s, 0]])
-
-    def prop(t):
-        return expm_h(_CORNER, -Omega * t) @ expm_h(W, t)
 
     problem = ControlProblem(
         dim=3,
@@ -235,7 +238,7 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
         name="su3-elliptic", dim=3,
         params={"R": R, "Omega": Omega, "Delta0": tuple(D)},
         hamiltonian_at=ham,
-        propagator_at=prop,
+        propagator_at=_frame_propagator(Omega * _CORNER, H0),
         constraint_at=lambda t: Omega * _CORNER,
         psi0=psi0,
         period=(2 * np.pi / abs(Omega) if Omega else 2 * np.pi / R),
@@ -309,9 +312,6 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
             [np.exp(-1j * phi) * ck, 0, np.exp(-1j * theta) * sk],
             [0, np.exp(1j * theta) * sk, 0]])
 
-    def prop(t):
-        return expm_h(F, -t) @ expm_h(H0 + F, t)
-
     def state(t):
         cd, sd = np.cos(t * Delta), np.sin(t * Delta)
         ck, sk = np.cos(kmod * t), np.sin(kmod * t)
@@ -337,7 +337,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
         name="su3-geodesic", dim=3,
         params={"eps1_0": eps1_0, "kappa": kappa, "theta": theta},
         hamiltonian_at=ham,
-        propagator_at=prop,
+        propagator_at=_frame_propagator(F, H0),
         constraint_at=lambda t: F,
         psi0=psi0,
         target=np.array([0, 0, 1], dtype=complex),
@@ -370,19 +370,11 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
     R = np.sqrt(R2)
     MF = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]])
 
-    def kt(t):
-        return (C * np.sin(eta * t) + N * np.cos(eta * t),
-                A * np.sin(eta * t) + B * np.cos(eta * t))
-
     def ham(t):
-        K, T = kt(t)
+        K = C * np.sin(eta * t) + N * np.cos(eta * t)
+        T = A * np.sin(eta * t) + B * np.cos(eta * t)
         return np.array([[0, -1j * K, 0], [1j * K, 0, -1j * T],
                          [0, 1j * T, 0]])
-
-    H0 = ham(0.0)
-
-    def prop(t):
-        return expm_h(MF, -eta * t) @ expm_h(H0 + eta * MF, t)
 
     delta = np.arctan2(B, N)    # K = R cos(eta t + delta), T = R sin(...)
 
@@ -404,7 +396,7 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
         name="frenet", dim=3,
         params={"A": A, "B": B, "C": C, "N": N, "eta": eta},
         hamiltonian_at=ham,
-        propagator_at=prop,
+        propagator_at=_frame_propagator(eta * MF, ham(0.0)),
         constraint_at=lambda t: eta * MF,
         psi0=psi0,
         period=(2 * np.pi / abs(eta) if eta else 2 * np.pi / R),
@@ -449,7 +441,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
         name="su4-heisenberg", dim=4,
         params={"lambda_x": lx},
         hamiltonian_at=lambda t: H0,
-        propagator_at=lambda t: expm_h(H0, t),
+        propagator_at=_frame_propagator(np.zeros((4, 4)), H0),
         constraint_at=lambda t: F0,
         psi0=psi0,
         target=bell,
@@ -466,8 +458,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
 
 def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
                    eps: complex = complex(np.sqrt(0.5)),
-                   xi1: complex = 0.3, xi2: complex = -0.2,
-                   A: np.ndarray | None = None) -> Scenario:
+                   xi1: complex = 0.3, xi2: complex = -0.2) -> Scenario:
     """Four-level problem with H(t)^2 = 1 and pi-periodic Hamiltonian.
 
     H(t) = [[alpha 1, e^{-2it} B], [e^{+2it} B, -alpha 1]] with the
@@ -481,10 +472,8 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
         raise ValidationError(
             f"alpha^2 + p_z^2 + |eps|^2 must equal 1 (got {norm2:.12f})")
     B = np.array([[p_z, eps], [np.conj(eps), -p_z]])
-    if A is None:
-        # default off-diagonal block chosen so Tr(H F) = 0 at all times
-        A = np.array([[0, 1j * eps], [1j * np.conj(eps), 0]])
-    A = as_matrix(A)
+    # off-diagonal block of F, chosen so that Tr(H F) = 0 at all times
+    A = np.array([[0, 1j * eps], [1j * np.conj(eps), 0]])
     X1 = np.array([[0, xi1], [np.conj(xi1), 0]])
     X2 = np.array([[0, xi2], [np.conj(xi2), 0]])
     H0 = np.block([[alpha * np.eye(2), B], [B.conj().T, -alpha * np.eye(2)]])
@@ -499,16 +488,13 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
         ph = np.exp(-2j * t)
         return np.block([[X1, ph * A], [np.conj(ph) * A.conj().T, X2]])
 
-    def prop(t):
-        return expm_h(K, t) @ expm_h(H0 - K, t)
-
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     return Scenario(
         name="dirac", dim=4,
         params={"alpha": alpha, "p_z": p_z, "eps": eps,
                 "xi1": xi1, "xi2": xi2},
         hamiltonian_at=ham,
-        propagator_at=prop,
+        propagator_at=_frame_propagator(-K, H0),
         constraint_at=constraint,
         psi0=psi0,
         period=np.pi,
@@ -768,18 +754,19 @@ class ValidationReport:
         return self.max_deviation() <= tol
 
 
-def validate(scenario: Scenario, tol: float = 1e-6,
-             dt: float = 1e-3, t_check: float | None = None,
-             n_grid: int = 100) -> ValidationReport:
+def validate(scenario: Scenario) -> ValidationReport:
     """Cross-check a scenario's analytic data against the integrator.
 
     Compares (a) the analytic propagator against the step-ordered exponential
     of the analytic H(t), (b) analytic H(t)/psi(t) against the
     brachistochrone integrator where a ControlProblem is attached,
-    (c) quantization residuals at the claimed minimum time.
+    (c) quantization residuals at the claimed minimum time.  Both numerical
+    references step at dt = 1e-3; the closed forms are sampled at 100 times
+    over one period.
     """
-    T = t_check if t_check is not None else (scenario.period or 1.0)
-    grid = np.linspace(0.0, T, n_grid)
+    T = scenario.period or 1.0
+    grid = np.linspace(0.0, T, 100)
+    dt = 1e-3
     dev = {}
 
     uni = 0.0

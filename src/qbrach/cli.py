@@ -74,30 +74,27 @@ def _parse_params(pairs) -> dict:
 # trajectory sampling
 # ---------------------------------------------------------------------------
 
-def _complex_columns(dim: int):
-    cols = []
-    for j in range(1, dim + 1):
-        cols.extend((f"Re c_{j}", f"Im c_{j}"))
-    return cols
-
-
 def _table(samples, dim: int, target=None):
-    """Header and rows for trajectory samples (t, psi, H, F)."""
-    header = ["t"] + _complex_columns(dim) + ["trH2", "trHF", "norm"]
+    """Header and a generator of rows for trajectory samples (t, psi, H, F);
+    each row is computed when it is written."""
+    header = (["t"] + [f"{part} c_{j}" for j in range(1, dim + 1)
+                       for part in ("Re", "Im")] + ["trH2", "trHF", "norm"])
     if target is not None:
         header.append("fidelity_to_target")
-    rows = []
-    for t, psi, H, F in samples:
-        row = [t]
-        for c in psi:
-            row.extend((c.real, c.imag))
-        row.append(float(np.trace(H @ H).real))
-        row.append(float(np.trace(H @ F).real))
-        row.append(float(np.linalg.norm(psi)))
-        if target is not None:
-            row.append(float(abs(np.vdot(target, psi)) ** 2))
-        rows.append(row)
-    return header, rows
+
+    def rows():
+        for t, psi, H, F in samples:
+            row = [t]
+            for c in psi:
+                row.extend((c.real, c.imag))
+            row.append(float(np.trace(H @ H).real))
+            row.append(float(np.trace(H @ F).real))
+            row.append(float(np.linalg.norm(psi)))
+            if target is not None:
+                row.append(float(abs(np.vdot(target, psi)) ** 2))
+            yield row
+
+    return header, rows()
 
 
 def _scenario_rows(scn, t_max: float, dt: float):
@@ -117,7 +114,9 @@ def _scenario_rows(scn, t_max: float, dt: float):
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     """Integrate one randomized control family and sample the trajectory."""
-    n = int(params.pop("n", 3))
+    n = params.pop("n", 3)
+    if not isinstance(n, int):
+        raise ValidationError(f"sun-family n must be an integer, got {n!r}")
     kind = str(params.pop("kind", "antidiagonal"))
     if params:
         raise ValidationError(f"unknown sun-family params: {sorted(params)}")
@@ -130,26 +129,36 @@ def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     return _table(zip(map(float, traj.times), traj.psis, traj.Hs, traj.Fs), n)
 
 
-def _write_text(text: str, out) -> None:
-    """Write text to the file `out`, or to stdout when out is None."""
+def _write_text(lines, out) -> None:
+    """Write each line and a newline to the file `out` (stdout when out is
+    None) as the lines are produced."""
+    text = (line + "\n" for line in lines)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
-def _write_table(header, rows, out, fmt: str):
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(FMT % v for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"columns": header,
-                   "rows": [[float(FMT % v) for v in row] for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-    _write_text(text, out)
+def _write_table(header, rows, out, fmt: str) -> int:
+    """Write a trajectory table and return its row count.  CSV is streamed
+    row by row; JSON floats print as repr, which is FMT ("%.17g") read back.
+    """
+    if fmt == "json":
+        rows = list(rows)
+        _write_text([json.dumps({"columns": header, "rows": rows},
+                                indent=2)], out)
+        return len(rows)
+    count = 0
+
+    def lines():
+        nonlocal count
+        yield ",".join(header)
+        for count, row in enumerate(rows, 1):
+            yield ",".join(FMT % v for v in row)
+
+    _write_text(lines(), out)
+    return count
 
 
 def _grid(args) -> tuple[float, float]:
@@ -184,14 +193,13 @@ def _partition_output(out, fmt: str, t_max: float, dt: float, seed: int):
                 str(r.index), f'"{r.description}"', r.classification,
                 FMT % r.period if r.period is not None else "",
                 FMT % r.max_excursion]))
-        text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps([{
+        lines = [json.dumps([{
             "pair": r.index, "description": r.description,
             "classification": r.classification,
             "period": r.period, "max_excursion": r.max_excursion}
-            for r in results], indent=2) + "\n"
-    _write_text(text, out)
+            for r in results], indent=2)]
+    _write_text(lines, out)
 
 
 def cmd_run(args) -> int:
@@ -213,14 +221,16 @@ def cmd_run(args) -> int:
             builder = catalog.SCENARIO_BUILDERS[args.scenario]
             scn = builder(**params)
             header, rows = _scenario_rows(scn, t_max, dt)
+        n_rows = _write_table(header, rows, args.out, args.format)
     except brach.DriftAbort as exc:
         print(f"drift abort: {exc}", file=sys.stderr)
         return EXIT_DRIFT
-    except (ValidationError, TypeError) as exc:
+    # ValidationError is a ValueError; a malformed --param value raises a
+    # plain ValueError inside a builder
+    except (ValueError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    _write_table(header, rows, args.out, args.format)
-    log.info("wrote %d samples for scenario %s", len(rows), args.scenario)
+    log.info("wrote %d samples for scenario %s", n_rows, args.scenario)
     return EXIT_OK
 
 
@@ -231,7 +241,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     env = report.run_suite(args.suite, seed=args.seed)
     if args.format == "json":
-        text = json.dumps(env.to_dict(), indent=2) + "\n"
+        lines = [json.dumps(env.to_dict(), indent=2)]
     else:
         width = max(len(r.id) for r in env.records) + 2
         lines = [f"suite: {env.suite}   version: {env.version}"]
@@ -241,8 +251,7 @@ def cmd_verify(args) -> int:
                          f"{r.residual:.3e}{tol}")
         n_fail = sum(r.status == "fail" for r in env.records)
         lines.append(f"{len(env.records)} checks, {n_fail} failures")
-        text = "\n".join(lines) + "\n"
-    _write_text(text, args.out)
+    _write_text(lines, args.out)
     return EXIT_OK if not env.has_failures() else 1
 
 

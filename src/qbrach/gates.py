@@ -23,13 +23,10 @@ from .matcore import ValidationError, as_matrix
 SQ2 = np.sqrt(2.0)
 
 
-def verify_unitary(M: np.ndarray, tol: float = 1e-12) -> float:
+def verify_unitary(M: np.ndarray) -> float:
     """Max-entry residual of M†M and MM† from the identity."""
     M = as_matrix(M)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValidationError("matrix must be square")
-    I = np.eye(n)
+    I = np.eye(M.shape[0])
     return float(max(np.max(np.abs(M.conj().T @ M - I)),
                      np.max(np.abs(M @ M.conj().T - I))))
 
@@ -344,16 +341,19 @@ def dihedral_generators() -> list[np.ndarray]:
     return [np.eye(3)[list(p)].astype(complex).T for p in perms]
 
 
-def group_closure(generators: Sequence[np.ndarray], tol: float = 1e-9,
-                  max_order: int = 24) -> dict:
+# group_closure's size guard (the permutation group it closes has order 6)
+CLOSURE_MAX_ORDER = 24
+
+
+def group_closure(generators: Sequence[np.ndarray]) -> dict:
     """Close a generating set under multiplication.
 
-    Elements are deduplicated by rounding entries to the tol scale.
+    Elements are deduplicated by rounding entries to the 1e-9 scale.
     Returns the element list, an index multiplication table, and an
-    abelian flag.  Raises if the closure exceeds max_order elements.
+    abelian flag.  Raises if the closure exceeds CLOSURE_MAX_ORDER elements.
     """
     def key(M):
-        return tuple((round(x.real / tol), round(x.imag / tol))
+        return tuple((round(x.real / 1e-9), round(x.imag / 1e-9))
                      for x in M.ravel())
 
     elements = []
@@ -372,9 +372,9 @@ def group_closure(generators: Sequence[np.ndarray], tol: float = 1e-9,
                 p = a @ b
                 k = key(p)
                 if k not in seen:
-                    if len(elements) >= max_order:
+                    if len(elements) >= CLOSURE_MAX_ORDER:
                         raise ValidationError(
-                            f"closure exceeds {max_order} elements")
+                            f"closure exceeds {CLOSURE_MAX_ORDER} elements")
                     seen[k] = len(elements)
                     elements.append(p)
                     changed = True

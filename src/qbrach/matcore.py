@@ -33,18 +33,18 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def check_hermitian(M, tol: float = HERM_TOL) -> np.ndarray:
+def check_hermitian(M) -> np.ndarray:
     A = as_matrix(M)
     dev = np.max(np.abs(A - A.conj().T))
-    if dev > tol:
+    if dev > HERM_TOL:
         raise ValidationError(f"matrix not Hermitian: max |M - M^dag| = {dev:.3e}")
     return A
 
 
-def check_state(psi, tol: float = STATE_TOL) -> np.ndarray:
+def check_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > STATE_TOL:
         raise ValidationError(f"state not normalized: ||psi|| = {nrm:.12f}")
     return v
 
@@ -71,6 +71,12 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def expm(self, t: float) -> np.ndarray:
+        """U = exp(-i H t) for the H this spectrum decomposes."""
+        phases = np.exp(-1j * self.eigenvalues * t)
+        V = self.eigenvectors
+        return (V * phases) @ V.conj().T
+
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Make each column's largest-magnitude component real positive.
@@ -87,19 +93,16 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return W
 
 
-def hermitian_eig(M, tol: float = HERM_TOL) -> Spectrum:
+def hermitian_eig(M) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    A = check_hermitian(M, tol)
+    A = check_hermitian(M)
     vals, vecs = np.linalg.eigh(A)
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 
 
 def expm_h(H, t: float = 1.0) -> np.ndarray:
     """U = exp(-i H t) for Hermitian H, via spectral decomposition."""
-    spec = hermitian_eig(H)
-    phases = np.exp(-1j * spec.eigenvalues * t)
-    V = spec.eigenvectors
-    return (V * phases) @ V.conj().T
+    return hermitian_eig(H).expm(t)
 
 
 def ordered_exponential(H: Callable[[float], np.ndarray],

@@ -305,12 +305,12 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
 # catalog sweep
 # ---------------------------------------------------------------------------
 
-def verify_catalog(tol: float = 1e-6, seed: int = 42) -> ReportEnvelope:
+def verify_catalog(seed: int = 42) -> ReportEnvelope:
     env = ReportEnvelope(suite="catalog")
     for name, builder in catalog.SCENARIO_BUILDERS.items():
         scn = builder() if name != "su4-heisenberg" else builder(seed=seed)
-        rep = catalog.validate(scn, tol=tol)
-        env.add(f"scenario-{name}", rep.max_deviation(), tol)
+        rep = catalog.validate(scn)
+        env.add(f"scenario-{name}", rep.max_deviation(), 1e-6)
     # printed minimum-time claim for the two-spin scenario: pi/lambda_x,
     # versus the verified maximal-entanglement time pi/(8 lambda_x)
     scn = catalog.scenario_su4_heisenberg(1.0, seed=seed)

@@ -49,7 +49,7 @@ class TestGeodesicTransfer:
 
     def test_integrator_matches_closed_form(self):
         scn = catalog.scenario_su3_geodesic(1.0, 1 / np.sqrt(3))
-        rep = catalog.validate(scn, dt=1e-3)
+        rep = catalog.validate(scn)
         assert rep.deviations["integrator_H"] <= 1e-6
         assert rep.deviations["integrator_state"] <= 1e-6
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach import catalog
-from qbrach.matcore import ValidationError
+from qbrach.matcore import ValidationError, expm_h
 
 
 ALL_BUILDERS = list(catalog.SCENARIO_BUILDERS.items())
@@ -12,12 +12,52 @@ ALL_BUILDERS = list(catalog.SCENARIO_BUILDERS.items())
 class TestValidation:
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_scenario_self_consistent(self, name, builder):
-        rep = catalog.validate(builder(), tol=1e-6)
+        rep = catalog.validate(builder())
         assert rep.passed(1e-6), rep.deviations
 
     def test_su2_off_locus_parameters(self):
-        rep = catalog.validate(catalog.scenario_su2(1.0, 0.7), tol=1e-6)
+        rep = catalog.validate(catalog.scenario_su2(1.0, 0.7))
         assert rep.passed(1e-6), rep.deviations
+
+    @pytest.mark.parametrize("builder", [catalog.scenario_su2,
+                                         catalog.scenario_su3_geodesic])
+    def test_minimum_time_diagnostics_on_locus(self, builder):
+        diag = catalog.validate(builder()).diagnostics
+        assert {"quantization_0", "quantization_1",
+                "transfer_infidelity"} <= set(diag)
+        for key, value in diag.items():
+            assert 0.0 <= value <= 1e-12, (key, value)
+
+    def test_minimum_time_diagnostics_off_locus(self):
+        diag = catalog.validate(catalog.scenario_su2(1.0, 0.7)).diagnostics
+        assert diag["quantization_0"] > 0.1
+
+
+# scenario, constant frame generator A with H(t) = e^{iAt} H(0) e^{-iAt}
+FRAME_CASES = [
+    ("su2", lambda: catalog.scenario_su2(Omega=0.8), None),
+    ("su3-elliptic", catalog.scenario_su3_elliptic, None),
+    ("su3-geodesic", catalog.scenario_su3_geodesic, None),
+    ("frenet", catalog.scenario_frenet, None),
+    ("dirac", catalog.scenario_dirac,
+     -np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)),
+    ("su4-heisenberg", catalog.scenario_su4_heisenberg,
+     np.zeros((4, 4), dtype=complex)),
+]
+
+
+class TestFramePropagator:
+    @pytest.mark.parametrize("name,builder,A", FRAME_CASES,
+                             ids=[c[0] for c in FRAME_CASES])
+    def test_matches_two_exponentials(self, name, builder, A):
+        scn = builder()
+        H0 = scn.hamiltonian_at(0.0)
+        if A is None:
+            A = scn.constraint_at(0.0)
+        assert np.max(np.abs(A)) > 0 or name == "su4-heisenberg"
+        for t in (-1.2, 0.0, 0.37, 5.1, 40.0):
+            want = expm_h(A, -t) @ expm_h(H0 + A, t)
+            assert np.max(np.abs(scn.propagator_at(t) - want)) < 1e-12, t
 
 
 class TestSu2:

@@ -36,6 +36,15 @@ class TestExitCodes:
     def test_malformed_param(self, capsys):
         assert run_cli(["run", "--scenario", "su2", "--param", "k"]) == 65
 
+    @pytest.mark.parametrize("scenario, param", [
+        ("sun-family", "n=abc"), ("sun-family", "n=4.7"),
+        ("su2", "eps0=abc"), ("so3", "eps=x"), ("su3-elliptic", "Delta0=1"),
+        ("su2", "Omega=1j")])
+    def test_malformed_param_value(self, scenario, param, capsys):
+        assert run_cli(["run", "--scenario", scenario, "--param", param,
+                        "--t-max", "0.01"]) == 65
+        assert "bad parameters" in capsys.readouterr().err
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("run started work on a rejected grid")
@@ -138,6 +147,18 @@ class TestRunJson:
         data = json.loads(out.read_text())
         assert data["columns"][0] == "t"
         assert len(data["rows"]) == 3
+
+    def test_json_rows_equal_csv_rows(self, tmp_path):
+        argv = ["run", "--scenario", "su3-elliptic", "--t-max", "0.5",
+                "--dt", "0.01"]
+        assert run_cli([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+        assert run_cli([*argv, "--format", "json",
+                        "--out", str(tmp_path / "t.json")]) == 0
+        header, *lines = (tmp_path / "t.csv").read_text().splitlines()
+        data = json.loads((tmp_path / "t.json").read_text())
+        assert data["columns"] == header.split(",")
+        assert data["rows"] == [[float(v) for v in line.split(",")]
+                                for line in lines]
 
     def test_partitions_json(self, tmp_path):
         out = tmp_path / "p.json"
