@@ -182,7 +182,8 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
     so they stay in their subspaces exactly; psi is stepped alongside and
     renormalized if its norm drifts beyond 1e-12.  H0 and F0 must lie in
     their subspaces to 1e-8.  Aborts with DriftAbort if any tracked
-    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4.
+    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4
+    or is not finite at a recorded sample.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -204,12 +205,19 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
         Hs.append(H)
         Fs.append(F)
         psis.append(psi)
+        # plain traces, not trace_inner: a non-finite H or F must reach the
+        # gate below as a non-finite drift, not raise ValidationError
         norm_d.append(abs(np.linalg.norm(psi) - 1.0))
-        trH2_d.append(abs(trace_inner(H, H) - trH2_0) / max(abs(trH2_0), 1e-30))
-        trHF_r.append(abs(trace_inner(H, F)))
-        eig_d.append(np.max(np.abs(np.linalg.eigvalsh(H + F) - eig0))
-                     / eig_scale)
-        if max(norm_d[-1], trH2_d[-1], trHF_r[-1], eig_d[-1]) > DRIFT_ABORT:
+        trH2_d.append(abs(np.trace(H @ H).real - trH2_0)
+                      / max(abs(trH2_0), 1e-30))
+        trHF_r.append(abs(np.trace(H @ F).real))
+        G = H + F
+        # eigvalsh can return finite values for a non-finite matrix
+        eig_d.append(np.max(np.abs(np.linalg.eigvalsh(G) - eig0)) / eig_scale
+                     if np.all(np.isfinite(G)) else np.inf)
+        # NaN compares False, so the gate asks for every drift to be in range
+        drifts = (norm_d[-1], trH2_d[-1], trHF_r[-1], eig_d[-1])
+        if not all(d <= DRIFT_ABORT for d in drifts):
             raise DriftAbort(
                 f"invariant drift beyond {DRIFT_ABORT:g} at t={t:.6f}",
                 {"t": t, "step": step, "norm_drift": norm_d[-1],

@@ -588,46 +588,42 @@ class PartitionResult:
     max_excursion: float
 
 
-def _h_distance(problem, ys, y_ref):
-    """Max-entry distance |H(y) - H(y_ref)| for each row of ys."""
-    H, _ = problem.matrices(ys - y_ref)
-    return np.max(np.abs(H), axis=(-2, -1))
+# rows of coordinates turned into H matrices at once by _h_distances
+_BLOCK = 4096
 
 
-def _evolve_pair(problem, y, n_steps, dt, y_ref):
-    """RK4 on the coordinates y = (h, f) of (H, F) only.
-
-    Returns the endpoint and per-step max-entry distances of H from the H
-    of `y_ref`.
-    """
-    ys = np.empty((n_steps, y.shape[0]))
-    for s in range(n_steps):
-        y = rk4_step(problem.flow, y, dt)
-        ys[s] = y
-    return y, _h_distance(problem, ys, y_ref)
+def _h_distances(problem, ys, y_ref):
+    """Max-entry distance |H(y) - H(y_ref)| for each row y of ys, taken a
+    block of rows at a time so that the H stack is never held whole."""
+    return np.concatenate([
+        np.max(np.abs(problem.matrices(ys[i:i + _BLOCK] - y_ref)[0]),
+               axis=(-2, -1))
+        for i in range(0, len(ys), _BLOCK)])
 
 
-def _classify_flow(problem, H0, F0, t_max=CENSUS_T_MAX, dt=CENSUS_DT,
-                   tol=1e-6) -> tuple[str, Optional[float], float]:
+def _pair_path(problem, y, n_steps, dt):
+    """RK4 path of the coordinates y = (h, f) of (H, F) only: row s holds
+    the coordinates after s steps, row 0 is y."""
+    ys = np.empty((n_steps + 1, y.shape[0]))
+    ys[0] = y
+    for s in range(1, n_steps + 1):
+        ys[s] = y = rk4_step(problem.flow, y, dt)
+    return ys
+
+
+def _classify_flow(problem, H0, F0, t_max, dt
+                   ) -> tuple[str, Optional[float], float]:
     """Grid search for recurrence of H(t) to H(0), with local refinement.
 
-    The coarse grid (dt=1e-3) cannot itself resolve a recurrence to 1e-6
-    (the trajectory crosses H0 at finite speed), so candidate minima are
-    refined by re-integrating a shrinking window at smaller steps.
+    The coarse path is integrated once and kept.  Its grid (dt=1e-3) cannot
+    itself resolve a recurrence to 1e-6 (the trajectory crosses H0 at
+    finite speed), so each candidate minimum at step s is refined at
+    smaller steps from the stored coordinates of step s - 2.
     """
     n_steps = int(round(t_max / dt))
-    snap_every = 100
     y0 = problem.coefficients(H0, F0)
-    snaps = {0: y0}
-    y = y0
-    dists = np.empty(n_steps + 1)
-    dists[0] = 0.0
-    chunk = snap_every
-    for start in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - start)
-        y, d = _evolve_pair(problem, y, m, dt, y0)
-        dists[start + 1:start + m + 1] = d
-        snaps[start + m] = y
+    ys = _pair_path(problem, y0, n_steps, dt)
+    dists = _h_distances(problem, ys, y0)
     max_exc = float(np.max(dists))
     if max_exc <= 1e-10:
         return "constant", None, max_exc
@@ -635,43 +631,35 @@ def _classify_flow(problem, H0, F0, t_max=CENSUS_T_MAX, dt=CENSUS_DT,
     moved = np.argmax(dists > max(1e-3, 0.05 * max_exc))
     if moved == 0:
         return "neither", None, max_exc
-    best = None
     for s in range(int(moved) + 1, n_steps):
         if dists[s] < 1e-2 and dists[s] <= dists[s - 1] and \
                 (s == n_steps - 1 or dists[s] <= dists[s + 1]):
-            t_ref, d_ref = _refine_recurrence(problem, snaps, snap_every,
-                                              dt, s, y0)
-            if d_ref < tol:
-                best = (t_ref, d_ref)
-                break
-    if best is not None:
-        return "periodic", best[0], max_exc
+            t_ref, d_ref = _refine_recurrence(
+                problem, ys[s - 2], (s - 2) * dt, float(dists[s - 2]), dt, y0)
+            if d_ref < 1e-6:
+                return "periodic", t_ref, max_exc
     return "neither", None, max_exc
 
 
-def _refine_recurrence(problem, snaps, snap_every, dt, s, y0):
-    """Two-stage step refinement of a candidate recurrence near step s."""
-    base = (s // snap_every) * snap_every
-    y = snaps[base]
-    t0, width = base * dt, (s - base) * dt
-    lo = max(t0, t0 + width - 2 * dt)
-    # integrate from the snapshot up to the window start
-    n_pre = int(round((lo - t0) / dt))
-    if n_pre:
-        y, _ = _evolve_pair(problem, y, n_pre, dt, y0)
-    t_best, d_best = lo, float(_h_distance(problem, y, y0))
+def _refine_recurrence(problem, y, t, d, dt, y0):
+    """Two-stage step refinement of a candidate recurrence.
+
+    The window starts at time t from coordinates y, at distance d from H0.
+    The first pass covers four coarse steps at dt/50, the second one coarse
+    step at dt/2500, starting 25 fine steps before the first pass's minimum.
+    Returns the time and distance of the closest approach found.
+    """
+    t_best, d_best = t, d
     dt_fine, span = dt / 50.0, 4 * dt
     for _ in range(2):
-        n_f = int(round(span / dt_fine))
-        _, d = _evolve_pair(problem, y, n_f, dt_fine, y0)
-        i = int(np.argmin(d))
-        if d[i] < d_best:
-            d_best, t_best = float(d[i]), lo + (i + 1) * dt_fine
+        ys = _pair_path(problem, y, int(round(span / dt_fine)), dt_fine)
+        dists = _h_distances(problem, ys[1:], y0)
+        i = int(np.argmin(dists))
+        if dists[i] < d_best:
+            d_best, t_best = float(dists[i]), t + (i + 1) * dt_fine
         # narrow onto the minimum for the second pass
-        n_pre2 = max(i - 25, 0)
-        if n_pre2:
-            y, _ = _evolve_pair(problem, y, n_pre2, dt_fine, y0)
-            lo += n_pre2 * dt_fine
+        skip = max(i - 25, 0)
+        y, t = ys[skip], t + skip * dt_fine
         span, dt_fine = 50 * dt_fine, dt_fine / 50.0
     return t_best, d_best
 

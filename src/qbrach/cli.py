@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 integrator drift abort,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -140,24 +141,37 @@ def _write_text(lines, out) -> None:
         sys.stdout.writelines(text)
 
 
+def _json_lines(header, rows):
+    """The lines of json.dumps({"columns": header, "rows": rows}, indent=2),
+    each row's text made when the row is produced."""
+    yield ('{\n  "columns": '
+           + json.dumps(header, indent=2).replace("\n", "\n  ") + ",")
+    last = None
+    for row in rows:
+        # a row's closing bracket takes its comma once the next row arrives
+        yield '  "rows": [' if last is None else last + ","
+        last = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+    yield '  "rows": []' if last is None else last + "\n  ]"
+    yield "}"
+
+
 def _write_table(header, rows, out, fmt: str) -> int:
-    """Write a trajectory table and return its row count.  CSV is streamed
-    row by row; JSON floats print as repr, which is FMT ("%.17g") read back.
-    """
-    if fmt == "json":
-        rows = list(rows)
-        _write_text([json.dumps({"columns": header, "rows": rows},
-                                indent=2)], out)
-        return len(rows)
+    """Write a trajectory table row by row and return its row count.  JSON
+    floats print as repr, which is FMT ("%.17g") read back."""
     count = 0
 
-    def lines():
+    def counted():
         nonlocal count
-        yield ",".join(header)
         for count, row in enumerate(rows, 1):
-            yield ",".join(FMT % v for v in row)
+            yield row
 
-    _write_text(lines(), out)
+    if fmt == "json":
+        lines = _json_lines(header, counted())
+    else:
+        lines = itertools.chain([",".join(header)],
+                                (",".join(FMT % v for v in row)
+                                 for row in counted()))
+    _write_text(lines, out)
     return count
 
 

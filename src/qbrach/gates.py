@@ -33,12 +33,12 @@ def verify_unitary(M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GateEntry:
-    """A named matrix family; `notes` flags a printed display that is not
-    unitary."""
+    """A named matrix family; `printed_nonunitary` marks a display kept as
+    printed although it is not unitary."""
 
     name: str
     builder: Callable[..., np.ndarray]
-    notes: str = ""
+    printed_nonunitary: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,8 @@ def u2_phase(theta: float) -> np.ndarray:
 def su2_catalog() -> list[GateEntry]:
     return [
         GateEntry("u2_hadamard", u2_hadamard),
-        GateEntry("u2_phased", u2_phased,
-                  "printed display fails unitarity for theta != 0"),
+        # the printed display fails unitarity for theta != 0
+        GateEntry("u2_phased", u2_phased, printed_nonunitary=True),
         GateEntry("u2_rotation", u2_rotation),
         GateEntry("u2_not", u2_not),
         GateEntry("u2_half_phased", u2_half_phased),
@@ -456,9 +456,8 @@ def su4_catalog() -> list[GateEntry]:
         GateEntry("u4_block_hadamard_i", lambda: U5),
         GateEntry("u4_spinor_hadamard", lambda: U6),
         GateEntry("u4_cross_hadamard", lambda: U7),
-        GateEntry("u4_sign_pattern", lambda: U8a,
-                  "printed with 1/sqrt(2) prefactor; rows have norm "
-                  "sqrt(2), so the printed matrix is not unitary"),
+        # printed with a 1/sqrt(2) prefactor, so its rows have norm sqrt(2)
+        GateEntry("u4_sign_pattern", lambda: U8a, printed_nonunitary=True),
         GateEntry("u4_dft", lambda: U8b),
         GateEntry("u4_cycle_132", lambda: U9),
         GateEntry("u4_swap_34", lambda: U10),

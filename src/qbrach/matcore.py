@@ -43,6 +43,8 @@ def check_hermitian(M) -> np.ndarray:
 
 def check_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("state entries must be finite")
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > STATE_TOL:
         raise ValidationError(f"state not normalized: ||psi|| = {nrm:.12f}")

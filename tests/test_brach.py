@@ -108,6 +108,25 @@ class TestEvolve:
         assert diag["eigenvalue_drift"] > brach.DRIFT_ABORT
         assert diag["trH2_drift"] < 1e-12
 
+    def test_rejects_nonfinite_state(self):
+        fam = catalog.family_sun(4, "tridiagonal")
+        with pytest.raises(ValidationError):
+            brach.evolve(fam.problem, fam.H0, fam.F0, [np.nan, 0, 0, 0],
+                         1.0, dt=0.1)
+
+    def test_overflow_between_samples_aborts(self):
+        # dt = 10 overflows the state long before the only recorded sample
+        fam = catalog.family_sun(4, "tridiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(brach.DriftAbort) as info:
+            brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 10000.0, dt=10.0,
+                         record_every=1000)
+        diag = info.value.diagnostics
+        assert diag["step"] == 1000
+        assert not np.isfinite(diag["eigenvalue_drift"])
+        assert not np.isfinite(diag["trH2_drift"])
+
     def test_convergence_order_four(self):
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)

@@ -203,3 +203,13 @@ class TestPartitions:
                                                    abs=1e-4)
         assert by_index[3].classification == "periodic"
         assert by_index[3].period == pytest.approx(14.2283, abs=1e-3)
+
+    def test_recurrence_on_first_step_of_a_hundred(self):
+        # at this dt pair 2's period 2 pi sqrt(3) falls at coarse step 10000,
+        # and the refinement must still cover the two steps before it
+        dt = 2 * np.pi * np.sqrt(3) / 9999.7
+        pair2 = catalog.su3_partitions(t_max=dt, dt=dt, seed=42)[1]
+        cls, period, _ = catalog._classify_flow(pair2.problem, pair2.H0,
+                                                pair2.F0, 12.0, dt)
+        assert cls == "periodic"
+        assert period == pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-6)

@@ -160,6 +160,17 @@ class TestRunJson:
         assert data["rows"] == [[float(v) for v in line.split(",")]
                                 for line in lines]
 
+    def test_json_bytes_equal_one_dump(self, tmp_path):
+        # rows are streamed; the file must read as one json.dumps of them
+        out = tmp_path / "t.json"
+        assert run_cli(["run", "--scenario", "su2", "--t-max", "0.03",
+                        "--dt", "0.01", "--format", "json",
+                        "--out", str(out)]) == 0
+        header, rows = cli._scenario_rows(catalog.scenario_su2(), 0.03, 0.01)
+        expected = json.dumps({"columns": header, "rows": list(rows)},
+                              indent=2) + "\n"
+        assert out.read_text() == expected
+
     def test_partitions_json(self, tmp_path):
         out = tmp_path / "p.json"
         assert run_cli(["run", "--scenario", "su3-partitions",

@@ -32,6 +32,13 @@ class TestValidation:
         with pytest.raises(mc.ValidationError):
             mc.check_state([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_state_rejects_nonfinite(self, bad):
+        # a NaN norm is not "beyond" the tolerance, so the norm test alone
+        # lets it through
+        with pytest.raises(mc.ValidationError):
+            mc.check_state([bad, 0.0])
+
 
 class TestAlgebra:
     def test_commutator_antisymmetry(self):
