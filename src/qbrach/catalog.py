@@ -594,35 +594,34 @@ _BLOCK = 4096
 
 def _h_distances(problem, ys, y_ref):
     """Max-entry distance |H(y) - H(y_ref)| for each row y of ys, taken a
-    block of rows at a time so that the H stack is never held whole."""
+    block of rows at a time so that the H stack is never held whole.  Only
+    the driver coordinates are read: F is never built."""
+    nd, n = problem._driver.shape[0], problem.dim
+    D = problem._driver.reshape(nd, n * n)
     return np.concatenate([
-        np.max(np.abs(problem.matrices(ys[i:i + _BLOCK] - y_ref)[0]),
-               axis=(-2, -1))
+        np.max(np.abs((ys[i:i + _BLOCK, :nd] - y_ref[:nd]) @ D), axis=-1)
         for i in range(0, len(ys), _BLOCK)])
 
 
-def _pair_path(problem, y, n_steps, dt):
-    """RK4 path of the coordinates y = (h, f) of (H, F) only: row s holds
-    the coordinates after s steps, row 0 is y."""
-    ys = np.empty((n_steps + 1, y.shape[0]))
+def _rk4_path(flow, y, n_steps, dt):
+    """RK4 path of dy/dt = flow(y): row s holds y after s steps, row 0 is
+    y.  y may carry leading axes, as the census's batch of pairs does."""
+    ys = np.empty((n_steps + 1, *np.shape(y)))
     ys[0] = y
     for s in range(1, n_steps + 1):
-        ys[s] = y = rk4_step(problem.flow, y, dt)
+        ys[s] = y = rk4_step(flow, y, dt)
     return ys
 
 
-def _classify_flow(problem, H0, F0, t_max, dt
-                   ) -> tuple[str, Optional[float], float]:
+def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
     """Grid search for recurrence of H(t) to H(0), with local refinement.
 
-    The coarse path is integrated once and kept.  Its grid (dt=1e-3) cannot
-    itself resolve a recurrence to 1e-6 (the trajectory crosses H0 at
-    finite speed), so each candidate minimum at step s is refined at
-    smaller steps from the stored coordinates of step s - 2.
+    ys is the stored coarse path of the coordinates (h, f), row s at time
+    s * dt.  Its grid (dt=1e-3) cannot itself resolve a recurrence to 1e-6
+    (the trajectory crosses H0 at finite speed), so each candidate minimum
+    at step s is refined at smaller steps from the stored row s - 2.
     """
-    n_steps = int(round(t_max / dt))
-    y0 = problem.coefficients(H0, F0)
-    ys = _pair_path(problem, y0, n_steps, dt)
+    n_steps, y0 = len(ys) - 1, ys[0]
     dists = _h_distances(problem, ys, y0)
     max_exc = float(np.max(dists))
     if max_exc <= 1e-10:
@@ -652,7 +651,8 @@ def _refine_recurrence(problem, y, t, d, dt, y0):
     t_best, d_best = t, d
     dt_fine, span = dt / 50.0, 4 * dt
     for _ in range(2):
-        ys = _pair_path(problem, y, int(round(span / dt_fine)), dt_fine)
+        ys = _rk4_path(problem.flow, y, int(round(span / dt_fine)),
+                       dt_fine)
         dists = _h_distances(problem, ys[1:], y0)
         i = int(np.argmin(dists))
         if dists[i] < d_best:
@@ -668,12 +668,12 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
                    seed: int = 42) -> list[PartitionResult]:
     """The four three-level driver/constraint splittings, classified.
 
-    Each pattern pair is integrated and H(t) classified as constant,
-    periodic (recurrence search on ||H(t) - H(0)||), or neither.
+    The four pattern pairs are integrated together on the coarse grid and
+    each H(t) classified as constant, periodic (recurrence search on
+    ||H(t) - H(0)||), or neither.
     """
     rng = np.random.default_rng(seed)
     cart = _cartan(3)
-    results = []
 
     def rand_coeffs(k, scale=1.0):
         return rng.normal(scale=scale, size=k)
@@ -715,14 +715,34 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     specs.append(("two-level block driver | complementary constraint",
                   d_basis, c_basis, H0, F0))
 
-    for idx, (desc, db, cb, H0, F0) in enumerate(specs, start=1):
+    pairs = []
+    for desc, db, cb, H0, F0 in specs:
         problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb)
-        H0p = problem.project_driver(H0)
-        F0p = problem.project_constraint(F0)
-        cls, period, exc = _classify_flow(problem, H0p, F0p, t_max, dt)
-        results.append(PartitionResult(idx, desc, H0p, F0p, problem,
-                                       cls, period, exc))
-    return results
+        pairs.append((desc, problem, problem.project_driver(H0),
+                      problem.project_constraint(F0)))
+
+    # Every pair spans su(3) (driver + constraint dimension 8), so each flow
+    # tensor T[k, a, b] pads into one (8, 8, 8) block Q[k, a, b] in (h, f)
+    # coordinates, zero unless a is a driver and b a constraint coordinate,
+    # and one RK4 path steps all four pairs together.
+    Q = np.zeros((len(pairs), 8, 8, 8))
+    for q, (_, problem, _, _) in zip(Q, pairs):
+        nd = problem._driver.shape[0]
+        q[:, :nd, nd:] = problem._flow_tensor.reshape(8, nd, 8 - nd)
+    Q = Q.reshape(len(pairs), 64, 8)
+
+    def flow(Y):
+        Y = Y[..., None]
+        return ((Q @ Y).reshape(-1, 8, 8) @ Y)[..., 0]
+
+    paths = _rk4_path(flow, np.stack([p.coefficients(H0, F0)
+                                      for _, p, H0, F0 in pairs]),
+                      int(round(t_max / dt)), dt)
+    # pair i reads the view paths[:, i]: a copy per pair would add to the
+    # peak memory the whole path already sets
+    return [PartitionResult(i + 1, desc, H0, F0, problem,
+                            *_classify_flow(problem, paths[:, i], dt))
+            for i, (desc, problem, H0, F0) in enumerate(pairs)]
 
 
 # ---------------------------------------------------------------------------

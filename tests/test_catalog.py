@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,15 @@ from qbrach.matcore import ValidationError, expm_h
 
 
 ALL_BUILDERS = list(catalog.SCENARIO_BUILDERS.items())
+
+
+def _pair2_path(t_max, dt, f_scale=1.0):
+    """Census pair 2 at seed 42 (F scaled by f_scale), integrated alone:
+    its problem and its coarse path."""
+    pair2 = catalog.su3_partitions(t_max=dt, dt=dt, seed=42)[1]
+    y0 = pair2.problem.coefficients(pair2.H0, f_scale * pair2.F0)
+    return pair2.problem, catalog._rk4_path(pair2.problem.flow, y0,
+                                            int(round(t_max / dt)), dt)
 
 
 class TestValidation:
@@ -208,8 +219,78 @@ class TestPartitions:
         # at this dt pair 2's period 2 pi sqrt(3) falls at coarse step 10000,
         # and the refinement must still cover the two steps before it
         dt = 2 * np.pi * np.sqrt(3) / 9999.7
-        pair2 = catalog.su3_partitions(t_max=dt, dt=dt, seed=42)[1]
-        cls, period, _ = catalog._classify_flow(pair2.problem, pair2.H0,
-                                                pair2.F0, 12.0, dt)
+        problem, ys = _pair2_path(12.0, dt)
+        cls, period, _ = catalog._classify_flow(problem, ys, dt)
         assert cls == "periodic"
         assert period == pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [42, 1001])
+    def test_batched_path_matches_each_pair_alone(self, seed, monkeypatch):
+        # the census steps its four pairs as one batch; each pair's slice of
+        # that path must be the path of the pair integrated on its own
+        paths = []
+        classify = catalog._classify_flow
+
+        def spy(problem, ys, dt):
+            paths.append(ys.copy())
+            return classify(problem, ys, dt)
+
+        monkeypatch.setattr(catalog, "_classify_flow", spy)
+        results = catalog.su3_partitions(t_max=15.0, dt=1e-3, seed=seed)
+        assert [r.classification for r in results] == \
+            ["constant", "periodic", "periodic", "constant"]
+        for r, ys in zip(results, paths):
+            alone = catalog._rk4_path(r.problem.flow,
+                                      r.problem.coefficients(r.H0, r.F0),
+                                      15000, 1e-3)
+            np.testing.assert_allclose(ys, alone, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d_ref,classification",
+                             [(1e-4, "neither"), (1e-7, "periodic")])
+    def test_refined_distance_decides_recurrence(self, d_ref, classification,
+                                                 monkeypatch):
+        # a candidate counts only if refinement brings H within 1e-6 of H0
+        monkeypatch.setattr(catalog, "_refine_recurrence",
+                            lambda problem, y, t, d, dt, y0: (t, d_ref))
+        problem, ys = _pair2_path(12.0, 2e-3)
+        assert catalog._classify_flow(problem, ys, 2e-3)[0] == classification
+
+    def test_small_excursion_is_not_constant(self):
+        # with F scaled down H drifts slowly: it moves, so it is not
+        # constant, but never 1e-3 away, so no recurrence is searched for
+        problem, ys = _pair2_path(1.0, 1e-3, f_scale=1e-5)
+        cls, period, max_exc = catalog._classify_flow(problem, ys, 1e-3)
+        assert 1e-10 < max_exc < 1e-3
+        assert (cls, period) == ("neither", None)
+
+    def test_recurrence_counts_once_five_percent_away(self, monkeypatch):
+        # distance profile: a small loop (10 % of the largest excursion) back
+        # to H0 at step 100, then the largest excursion, never back below 0.5
+        s = np.arange(401)
+        dists = np.where(s <= 100, 0.1 * np.sin(np.pi * s / 100),
+                         0.5 + 0.5 * np.sin(np.pi * (s - 100) / 300))
+        monkeypatch.setattr(catalog, "_h_distances", lambda *_: dists)
+        monkeypatch.setattr(catalog, "_refine_recurrence",
+                            lambda problem, y, t, d, dt, y0: (t, 0.0))
+        cls, period, _ = catalog._classify_flow(None, np.zeros((401, 8)), 1e-3)
+        assert cls == "periodic"
+        assert period == pytest.approx(98e-3)
+
+    def test_second_refinement_covers_both_sides(self, monkeypatch):
+        # the first pass (step dt/50) finds a broad minimum at 100 of its
+        # steps and steps over a narrow, deeper one at 84.5 steps; the second
+        # pass spans 25 first-pass steps each side of 100 and must find it
+        dt_fine = 1e-3 / 50
+        t_broad, t_narrow = 100 * dt_fine, 84.5 * dt_fine
+
+        def dists(problem, ys, y_ref):
+            t = ys[:, 0]
+            return np.minimum(5e-3 + 10 * np.abs(t - t_broad),
+                              1e3 * np.abs(t - t_narrow))
+
+        monkeypatch.setattr(catalog, "_h_distances", dists)
+        clock = SimpleNamespace(flow=np.ones_like)  # coordinate = time
+        t_best, d_best = catalog._refine_recurrence(
+            clock, np.zeros(1), 0.0, 1.0, 1e-3, np.zeros(1))
+        assert t_best == pytest.approx(t_narrow, abs=1e-9)
+        assert d_best < 1e-6
