@@ -11,14 +11,14 @@ conserved quantities (Tr H^2, Tr(HF), the spectrum of H + F, state norm).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .matcore import (ValidationError, as_matrix, check_hermitian, check_state,
-                      commutator, trace_inner)
+from .matcore import ValidationError, check_hermitian, check_state, commutator
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
@@ -32,28 +32,33 @@ class DriftAbort(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def _orthonormalize(basis: Sequence[np.ndarray], label: str,
+def _orthonormalize(basis: Sequence[np.ndarray], dim: int, label: str,
                     warn_tol: float = 1e-10) -> np.ndarray:
-    """Gram-Schmidt under the trace inner product Tr(A B); returns a stack."""
-    out = []
+    """Gram-Schmidt under the trace inner product Tr(A B); returns a stack.
+
+    For Hermitian E and A, Tr(E A) = sum(conj(E) * A), so each element is
+    projected against the stacked orthonormal set in one product.
+    """
+    out = np.empty((len(basis), dim * dim), dtype=complex)
     adjusted = False
-    for B in basis:
+    for k, B in enumerate(basis):
         A = check_hermitian(B)
+        if A.shape != (dim, dim):
+            raise ValidationError(f"{label} basis element is not {dim}x{dim}")
         if abs(np.trace(A)) > 1e-10:
             raise ValidationError(f"{label} basis element not traceless")
-        for E in out:
-            A = A - trace_inner(E, A) * E
-        nrm = np.sqrt(trace_inner(A, A))
+        a = A.reshape(-1)
+        a = a - (out[:k].conj() @ a).real @ out[:k]
+        nrm = np.linalg.norm(a)
         if nrm < 1e-12:
             raise ValidationError(f"{label} basis is linearly dependent")
-        Anew = A / nrm
-        if np.max(np.abs(Anew - as_matrix(B))) > warn_tol:
+        out[k] = a / nrm
+        if np.max(np.abs(out[k] - A.reshape(-1))) > warn_tol:
             adjusted = True
-        out.append(Anew)
     if adjusted:
         warnings.warn(f"{label} basis was not orthonormal under Tr(A B); "
                       "Gram-Schmidt applied", stacklevel=3)
-    return np.stack(out)
+    return out.reshape(-1, dim, dim)
 
 
 @dataclass
@@ -69,7 +74,9 @@ class ControlProblem:
         dy_k = sum_ab T[k, a, b] h_a f_b,   T[k, a, b] = Re Tr(B_k (-i)[D_a, C_b])
 
     on y = (h, f), with B = D stacked on C.  The subspaces hold exactly in
-    these coordinates, so no projection is needed while stepping.
+    these coordinates, so no projection is needed while stepping.  Tr H^2 is
+    |h|^2 and Tr HF is h . X . f, with X[a, b] = Tr(D_a C_b) the cross-Gram
+    matrix (zero to round-off).
     """
 
     dim: int
@@ -78,28 +85,29 @@ class ControlProblem:
 
     _driver: np.ndarray = field(init=False, repr=False)
     _constraint: np.ndarray = field(init=False, repr=False)
+    _cross_gram: np.ndarray = field(init=False, repr=False)
     _flow_tensor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._driver = _orthonormalize(self.driver_basis, "driver")
-        self._constraint = (_orthonormalize(self.constraint_basis, "constraint")
-                            if len(self.constraint_basis) > 0
-                            else np.zeros((0, self.dim, self.dim), dtype=complex))
-        for D in self._driver:
-            for G in self._constraint:
-                ip = trace_inner(D, G)
-                if abs(ip) > 1e-10:
-                    raise ValidationError(
-                        f"driver and constraint subspaces not trace-orthogonal "
-                        f"(Tr(d g) = {ip:.3e})")
-        D, C = self._driver, self._constraint
-        B = np.concatenate([D, C])
-        T = np.empty((len(B), len(D), len(C)))
-        for a, Da in enumerate(D):
-            # Re Tr(B_k (-i) X) = Im Tr(B_k X)
-            T[:, a, :] = np.einsum("kij,bji->kb", B, Da @ C - C @ Da).imag
+        n = self.dim
+        D = self._driver = _orthonormalize(self.driver_basis, n, "driver")
+        C = self._constraint = _orthonormalize(self.constraint_basis, n,
+                                               "constraint")
+        nd, nc = len(D), len(C)
+        X = self._cross_gram = (D.reshape(nd, n * n).conj()
+                                @ C.reshape(nc, n * n).T).real
+        if X.size and np.max(np.abs(X)) > 1e-10:
+            ip = X.flat[np.argmax(np.abs(X))]
+            raise ValidationError(
+                f"driver and constraint subspaces not trace-orthogonal "
+                f"(Tr(d g) = {ip:.3e})")
+        # Re Tr(B_k (-i) X) = Im Tr(B_k X), and Tr(B_k X) = B_k^T . X
+        Bt = np.concatenate([D, C]).transpose(0, 2, 1).reshape(nd + nc, n * n)
+        comm = D[:, None] @ C
+        comm -= C @ D[:, None]
+        T = (Bt @ comm.reshape(nd * nc, n * n).T).imag
         # stored as (k*a, b) so that flow() is two matrix products
-        self._flow_tensor = T.reshape(len(B) * len(D), len(C))
+        self._flow_tensor = T.reshape((nd + nc) * nd, nc)
 
     def coefficients(self, H, F) -> np.ndarray:
         """y = (h, f): coordinates of H and F in the orthonormal bases."""
@@ -174,16 +182,64 @@ def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
-           dt: float = 1e-4, record_every: int = 1) -> Trajectory:
-    """Fixed-step RK4 on the joint system (psi, H, F).
+class Sample(NamedTuple):
+    """One recorded point of integrate: the state and its invariants.
 
-    H and F are stepped in their subspace coordinates (ControlProblem.flow),
-    so they stay in their subspaces exactly; psi is stepped alongside and
-    renormalized if its norm drifts beyond 1e-12.  H0 and F0 must lie in
-    their subspaces to 1e-8.  Aborts with DriftAbort if any tracked
-    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4
-    or is not finite at a recorded sample.
+    The drift fields are the ones the gate reads and DriftAbort reports.
+    """
+
+    step: int
+    t: float
+    y: np.ndarray              # coordinates (h, f) of H and F
+    psi: np.ndarray
+    trH2: float                # Tr H^2 = |h|^2
+    trHF: float                # Tr HF = h . X . f
+    norm: float                # ||psi||
+    norm_drift: float
+    trH2_drift: float          # relative drift of Tr H^2
+    trHF_residual: float
+    eigenvalue_drift: float    # spectrum drift of G = H + F
+
+
+# the last four fields of a Sample, in order
+_DRIFTS = Sample._fields[-4:]
+
+
+def _state_tensor(problem: ControlProblem) -> np.ndarray:
+    """Q of the fused flow dz = (Q @ z[nd:]).reshape(K, nd) @ z[:nd] on the
+    state z = (h, f, Re/Im psi) of length K, psi interleaved.
+
+    Both parts are bilinear in h: the (h, f) rows hold the flow tensor T,
+    the psi rows the real form of -i D_a, so dpsi = -i H psi.
+    """
+    D, n = problem._driver, problem.dim
+    nd, nc = D.shape[0], problem._constraint.shape[0]
+    m = nd + nc
+    K = m + 2 * n
+    Q = np.zeros((K, nd, K - nd))
+    Q[:m, :, :nc] = problem._flow_tensor.reshape(m, nd, nc)
+    # on interleaved (Re, Im) pairs, -i D_a acts as the 2x2 blocks
+    # [[Im D_a, Re D_a], [-Re D_a, Im D_a]]
+    R = np.empty((nd, n, 2, n, 2))
+    R[:, :, 0, :, 0] = R[:, :, 1, :, 1] = D.imag
+    R[:, :, 0, :, 1] = D.real
+    R[:, :, 1, :, 0] = -D.real
+    Q[m:, :, nc:] = R.reshape(nd, 2 * n, 2 * n).transpose(1, 0, 2)
+    return Q.reshape(K * nd, K - nd)
+
+
+def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
+              dt: float = 1e-4, record_every: int = 1):
+    """Fixed-step RK4 on the joint system (psi, H, F), one sample at a time.
+
+    Returns a generator of Samples: step 0, every record_every-th step and
+    the last step.  H and F are stepped in their subspace coordinates, so
+    they stay in their subspaces exactly; psi is stepped alongside through
+    the same bilinear state tensor and renormalized if its norm drifts
+    beyond 1e-12.  H0 and F0 must lie in their subspaces to 1e-8; bad input
+    raises here, before the first sample.  Raises DriftAbort at a sample
+    where any tracked invariant (norm, Tr H^2, Tr HF, spectrum of H + F)
+    drifts beyond 1e-4 or is not finite.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -191,63 +247,70 @@ def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
     psi = check_state(psi0)
     brach_rhs(H, F, problem)  # validate subspace membership at t=0
 
-    trH2_0 = trace_inner(H, H)
-    # the isospectral object is G = H + F: dG/dt = -i [G, F]
-    eig0 = np.linalg.eigvalsh(H + F)
+    n, nd = problem.dim, problem._driver.shape[0]
+    y0 = problem.coefficients(H, F)
+    m = y0.shape[0]
+    K = m + 2 * n
+    Q = _state_tensor(problem)
+    X = problem._cross_gram
+    # G = H + F = y . B, the isospectral object: dG/dt = -i [G, F]
+    B = np.concatenate([problem._driver, problem._constraint]).reshape(m, -1)
+    trH2_0 = float(y0[:nd] @ y0[:nd])
+    trH2_scale = max(abs(trH2_0), 1e-30)
+    eig0 = np.linalg.eigvalsh((y0 @ B).reshape(n, n))
     eig_scale = max(np.max(np.abs(eig0)), 1e-30)
-
     n_steps = max(int(round(t_max / dt)), 1)
-    times, Hs, Fs, psis = [], [], [], []
-    norm_d, trH2_d, trHF_r, eig_d = [], [], [], []
-
-    def record(step, t, H, F, psi):
-        times.append(t)
-        Hs.append(H)
-        Fs.append(F)
-        psis.append(psi)
-        # plain traces, not trace_inner: a non-finite H or F must reach the
-        # gate below as a non-finite drift, not raise ValidationError
-        norm_d.append(abs(np.linalg.norm(psi) - 1.0))
-        trH2_d.append(abs(np.trace(H @ H).real - trH2_0)
-                      / max(abs(trH2_0), 1e-30))
-        trHF_r.append(abs(np.trace(H @ F).real))
-        G = H + F
-        # eigvalsh can return finite values for a non-finite matrix
-        eig_d.append(np.max(np.abs(np.linalg.eigvalsh(G) - eig0)) / eig_scale
-                     if np.all(np.isfinite(G)) else np.inf)
-        # NaN compares False, so the gate asks for every drift to be in range
-        drifts = (norm_d[-1], trH2_d[-1], trHF_r[-1], eig_d[-1])
-        if not all(d <= DRIFT_ABORT for d in drifts):
-            raise DriftAbort(
-                f"invariant drift beyond {DRIFT_ABORT:g} at t={t:.6f}",
-                {"t": t, "step": step, "norm_drift": norm_d[-1],
-                 "trH2_drift": trH2_d[-1], "trHF_residual": trHF_r[-1],
-                 "eigenvalue_drift": eig_d[-1]})
-
-    # state z = (h, f, Re/Im psi) as one real array
-    y = problem.coefficients(H, F)
-    m, nd, n = y.shape[0], problem._driver.shape[0], problem.dim
-    driver = problem._driver.reshape(nd, n * n)
 
     def rhs(z):
-        H = (z[:nd] @ driver).reshape(n, n)
-        dpsi = -1j * (H @ z[m:].view(complex))
-        return np.concatenate([problem.flow(z[:m]), dpsi.view(float)])
+        return (Q @ z[nd:]).reshape(K, nd) @ z[:nd]
 
-    z = np.concatenate([y, psi.view(float)])
-    record(0, 0.0, *problem.matrices(y), psi)
-    for step in range(1, n_steps + 1):
-        z = rk4_step(rhs, z, dt)
-        psi = z[m:].view(complex)
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > RENORM_THRESHOLD:
-            z[m:] /= nrm
-        if step % record_every == 0 or step == n_steps:
-            record(step, step * dt, *problem.matrices(z[:m]), psi.copy())
+    def sample(step, z):
+        y, w = z[:m], z[m:]
+        h = y[:nd]
+        trH2 = float(h @ h)
+        trHF = float(h @ X @ y[nd:])
+        norm = math.sqrt(w @ w)
+        G = (y @ B).reshape(n, n)
+        # eigvalsh can return finite values for a non-finite matrix
+        eig_d = (float(np.abs(np.linalg.eigvalsh(G) - eig0).max()) / eig_scale
+                 if np.isfinite(G).all() else math.inf)
+        s = Sample(step, step * dt, y.copy(), w.view(complex).copy(),
+                   trH2, trHF, norm, abs(norm - 1.0),
+                   abs(trH2 - trH2_0) / trH2_scale, abs(trHF), eig_d)
+        # NaN compares False, so the gate asks for every drift to be in range
+        if not all(d <= DRIFT_ABORT for d in s[-4:]):
+            raise DriftAbort(
+                f"invariant drift beyond {DRIFT_ABORT:g} at t={s.t:.6f}",
+                {"t": s.t, "step": step, **dict(zip(_DRIFTS, s[-4:]))})
+        return s
 
-    return Trajectory(np.array(times), np.array(Hs), np.array(Fs),
-                      np.array(psis), np.array(norm_d), np.array(trH2_d),
-                      np.array(trHF_r), np.array(eig_d))
+    def samples():
+        z = np.concatenate([y0, psi.view(float)])
+        yield sample(0, z)
+        for step in range(1, n_steps + 1):
+            z = rk4_step(rhs, z, dt)
+            w = z[m:]
+            nrm = math.sqrt(w @ w)
+            if abs(nrm - 1.0) > RENORM_THRESHOLD:
+                w /= nrm
+            if step % record_every == 0 or step == n_steps:
+                yield sample(step, z)
+
+    return samples()
+
+
+def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
+           dt: float = 1e-4, record_every: int = 1) -> Trajectory:
+    """integrate's samples collected into a Trajectory (same arguments,
+    checks and DriftAbort)."""
+    samples = list(integrate(problem, H0, F0, psi0, t_max, dt, record_every))
+    Hs, Fs = problem.matrices(np.array([s.y for s in samples]))
+
+    def column(name):
+        return np.array([getattr(s, name) for s in samples])
+
+    return Trajectory(column("t"), Hs, Fs, column("psi"),
+                      *map(column, _DRIFTS))
 
 
 # --- SU(2) multivector form -------------------------------------------------

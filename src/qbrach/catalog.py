@@ -16,8 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, hermitian_eig, ordered_exponential
-from .brach import ControlProblem, evolve, rk4_step, trace_inner
+from .matcore import (ValidationError, hermitian_eig, ordered_exponential,
+                      trace_inner)
+from .brach import ControlProblem, evolve, rk4_step
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

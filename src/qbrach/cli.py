@@ -75,13 +75,17 @@ def _parse_params(pairs) -> dict:
 # trajectory sampling
 # ---------------------------------------------------------------------------
 
-def _table(samples, dim: int, target=None):
-    """Header and a generator of rows for trajectory samples (t, psi, H, F);
-    each row is computed when it is written."""
+def _header(dim: int, target=None) -> list:
     header = (["t"] + [f"{part} c_{j}" for j in range(1, dim + 1)
                        for part in ("Re", "Im")] + ["trH2", "trHF", "norm"])
     if target is not None:
         header.append("fidelity_to_target")
+    return header
+
+
+def _table(samples, dim: int, target=None):
+    """Header and a generator of rows for trajectory samples (t, psi, H, F);
+    each row is computed when it is written."""
 
     def rows():
         for t, psi, H, F in samples:
@@ -95,7 +99,7 @@ def _table(samples, dim: int, target=None):
                 row.append(float(abs(np.vdot(target, psi)) ** 2))
             yield row
 
-    return header, rows()
+    return _header(dim, target), rows()
 
 
 def _scenario_rows(scn, t_max: float, dt: float):
@@ -114,7 +118,8 @@ def _scenario_rows(scn, t_max: float, dt: float):
 
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
-    """Integrate one randomized control family and sample the trajectory."""
+    """Integrate one randomized control family; each row is written from
+    one of brach.integrate's samples as it is made."""
     n = params.pop("n", 3)
     if not isinstance(n, int):
         raise ValidationError(f"sun-family n must be an integer, got {n!r}")
@@ -125,20 +130,30 @@ def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     record_every = max(int(round(1e-3 / dt)), 1)
-    traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, t_max, dt,
-                        record_every=record_every)
-    return _table(zip(map(float, traj.times), traj.psis, traj.Hs, traj.Fs), n)
+    samples = brach.integrate(fam.problem, fam.H0, fam.F0, psi0, t_max, dt,
+                              record_every=record_every)
+    return _header(n), ([s.t, *s.psi.view(float).tolist(),
+                         s.trH2, s.trHF, s.norm] for s in samples)
 
 
 def _write_text(lines, out) -> None:
     """Write each line and a newline to the file `out` (stdout when out is
-    None) as the lines are produced."""
+    None) as the lines are produced.  A file is written under a temporary
+    name beside `out` and renamed only when every line is written, so an
+    error while producing them leaves no `out`; stdout keeps the lines
+    written before it."""
     text = (line + "\n" for line in lines)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(text)
-    else:
+    if not out:
         sys.stdout.writelines(text)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(text)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _json_lines(header, rows):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +19,49 @@ def su2_problem():
         constraint_basis=[SZ / np.sqrt(2)])
 
 
+KINDS = ("antidiagonal", "tridiagonal", "diagonal")
+
+
 class TestControlProblem:
     def test_rejects_overlapping_subspaces(self):
         with pytest.raises(ValidationError):
             brach.ControlProblem(dim=2, driver_basis=[SX, SZ],
                                  constraint_basis=[SZ])
+
+    def test_rejects_orthonormal_overlapping_subspaces(self):
+        # both bases orthonormal on their own, so only the cross check fires
+        with pytest.raises(ValidationError, match="trace-orthogonal"):
+            brach.ControlProblem(dim=2, driver_basis=[SX / np.sqrt(2)],
+                                 constraint_basis=[(SX + SZ) / 2])
+
+    def test_non_orthonormal_basis_warns(self):
+        with pytest.warns(UserWarning, match="driver basis.*Gram-Schmidt"):
+            prob = brach.ControlProblem(dim=2, driver_basis=[SX, SX + SY],
+                                        constraint_basis=[SZ / np.sqrt(2)])
+        expected = np.stack([SX, SY]) / np.sqrt(2)
+        assert np.max(np.abs(prob._driver - expected)) < 1e-15
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_family_bases_do_not_warn(self, n, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            catalog.family_sun(n, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_flow_tensor_matches_per_element_traces(self, n, kind):
+        prob = catalog.family_sun(n, kind).problem
+        D, C = prob._driver, prob._constraint
+        B = np.concatenate([D, C])
+        T = np.empty((len(B), len(D), len(C)))
+        for a, Da in enumerate(D):
+            for b, Cb in enumerate(C):
+                comm = Da @ Cb - Cb @ Da
+                for k, Bk in enumerate(B):
+                    T[k, a, b] = np.trace(Bk @ comm).imag
+        assert np.max(np.abs(prob._flow_tensor - T.reshape(-1, len(C)))) \
+            < 1e-14
 
     def test_projections_are_idempotent(self):
         prob = su2_problem()
@@ -140,6 +180,57 @@ class TestEvolve:
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert abs(np.log2(e1 / e2) - 4.0) < 0.3
+
+
+class TestIntegrate:
+    def test_evolve_collects_the_samples(self):
+        fam = catalog.family_sun(4, "tridiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        args = (fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 7)
+        samples = list(brach.integrate(*args))
+        traj = brach.evolve(*args)
+        assert [s.step for s in samples] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        Hs, Fs = fam.problem.matrices(np.array([s.y for s in samples]))
+        for name, value in (("times", [s.t for s in samples]), ("Hs", Hs),
+                            ("Fs", Fs), ("psis", [s.psi for s in samples]),
+                            *((d, [getattr(s, d) for s in samples])
+                              for d in brach._DRIFTS)):
+            np.testing.assert_array_equal(getattr(traj, name), value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_coordinate_invariants_match_matrix_traces(self, n, kind):
+        fam = catalog.family_sun(n, kind)
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[0] = 1.0
+        for s in brach.integrate(fam.problem, fam.H0, fam.F0, psi0, 0.05,
+                                 1e-3, 5):
+            H, F = fam.problem.matrices(s.y)
+            assert abs(s.trH2 - np.trace(H @ H).real) < 1e-13
+            assert abs(s.trHF - np.trace(H @ F).real) < 1e-13
+            assert abs(s.norm - np.linalg.norm(s.psi)) < 1e-13
+
+    def test_bad_input_raises_before_the_first_sample(self):
+        with pytest.raises(ValidationError):
+            brach.integrate(su2_problem(), SZ, SX,
+                            np.array([1, 0], dtype=complex), 1.0, 1e-2)
+
+    def test_drift_just_above_the_limit_aborts(self):
+        # one step of dt 0.5 moves the spectrum of H + F by about 4e-4:
+        # above DRIFT_ABORT, but far below 1e-2
+        fam = catalog.family_sun(3, "diagonal")
+        psi0 = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(brach.DriftAbort) as info:
+            brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.5, dt=0.5)
+        diag = info.value.diagnostics
+        assert diag["step"] == 1
+        assert 1e-4 < diag["eigenvalue_drift"] < 1e-3
+
+    def test_drift_just_below_the_limit_passes(self):
+        fam = catalog.family_sun(3, "diagonal")
+        psi0 = np.array([1, 0, 0], dtype=complex)
+        traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.3, dt=0.3)
+        assert 1e-5 < traj.eigenvalue_drift[-1] < brach.DRIFT_ABORT
 
 
 class TestSu2Vector:

@@ -139,6 +139,33 @@ class TestRunCsv:
         assert header[-1] == "norm"
 
 
+class TestDriftAbort:
+    ARGS = ["run", "--scenario", "sun-family", "--param", "n=4",
+            "--param", "kind=tridiagonal", "--t-max", "10000", "--dt", "10"]
+
+    def test_out_file_not_left_behind(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(self.ARGS + ["--out", str(out)]) == 2
+        assert "drift abort" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_existing_out_file(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        out.write_text("old\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(self.ARGS + ["--out", str(out)]) == 2
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_stdout_keeps_rows_before_the_abort(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(self.ARGS) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("t,Re c_1")
+        assert len(lines) >= 2 and lines[1].startswith("0,")
+
+
 class TestRunJson:
     def test_json_format(self, tmp_path):
         out = tmp_path / "t.json"
