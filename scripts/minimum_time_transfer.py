@@ -10,8 +10,7 @@ from qbrach import catalog
 
 def sweep(scn, t_lo, t_hi, n=2001):
     ts = np.linspace(t_lo, t_hi, n)
-    fids = np.array([abs(np.vdot(scn.target, scn.state_at(t))) ** 2
-                     for t in ts])
+    fids = np.abs(scn.state_at(ts) @ scn.target.conj()) ** 2
     return ts, fids
 
 

@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matcore import (ValidationError, hermitian_eig, ordered_exponential,
-                      trace_inner)
+from .matcore import ValidationError, hermitian_eig, ordered_exponential
 from .brach import ControlProblem, evolve, rk4_step
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,9 +51,47 @@ def _cartan(n):
     return out
 
 
+def _stack(t, rows):
+    """np.block(rows) at every time of t, whose shape leads the result's.
+
+    An entry with more axes than t is a square block (its last two axes);
+    any other entry, a scalar or an array shaped like t, is one element.
+    A flat list of elements stacks into a vector.
+    """
+    if not isinstance(rows[0], list):
+        return _stack(t, [rows])[..., 0, :]
+    lead = np.ndim(t)
+
+    def spans(entries):
+        """The index (an element) or slice (a block) of each entry."""
+        out, n = [], 0
+        for e in entries:
+            w = e.shape[-1] if getattr(e, "ndim", 0) > lead else 0
+            out.append(slice(n, n + w) if w else n)
+            n += w or 1
+        return out, n
+
+    (rs, m), (cs, n) = spans([row[0] for row in rows]), spans(rows[0])
+    out = np.empty(np.shape(t) + (m, n), dtype=complex)
+    for row, r in zip(rows, rs):
+        for e, c in zip(row, cs):
+            out[..., r, c] = e
+    return out
+
+
+def _constant(M) -> Callable:
+    """A time function that is M at every time."""
+    return lambda t: np.broadcast_to(M, np.shape(t) + M.shape)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A named closed-form solution family."""
+    """A named closed-form solution family.
+
+    Every time function (hamiltonian_at, constraint_at, propagator_at,
+    state_at) takes a scalar t, returning (dim, dim) or (dim,), or an array
+    of N times, returning (N, dim, dim) or (N, dim).
+    """
 
     name: str
     dim: int
@@ -71,7 +108,7 @@ class Scenario:
     extras: dict = field(default_factory=dict)
     _state_fn: Optional[Callable] = None
 
-    def state_at(self, t: float) -> np.ndarray:
+    def state_at(self, t) -> np.ndarray:
         """psi(t) from psi0: the dedicated closed form if the scenario has
         one, else U(t) psi0."""
         if self._state_fn is not None:
@@ -119,7 +156,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
 
     def ham(t):
         ph = np.exp(2j * Omega * t)
-        return np.array([[0, eps0 * ph], [np.conj(eps0 * ph), 0]])
+        return _stack(t, [[0, eps0 * ph], [np.conj(eps0 * ph), 0]])
 
     psi0 = np.array([1, 1], dtype=complex) / np.sqrt(2)
     # boundary transfer target exists when eps0 = -eps0* (pure imaginary)
@@ -140,7 +177,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
         params={"k": k, "Omega": Omega, "eps0": eps0},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(Omega * SIGMA_Z, H0),
-        constraint_at=lambda t: Omega * SIGMA_Z,
+        constraint_at=_constant(Omega * SIGMA_Z),
         psi0=psi0, target=target,
         min_time=np.pi / (2 * np.sqrt(k)),
         period=(np.pi / Omega if Omega else 2 * np.pi / np.sqrt(k)),
@@ -166,12 +203,13 @@ def scenario_so3(n_z: float = 0.6, eps: complex = 0.8) -> Scenario:
     H = np.array([[n_z, 0, eps], [0, 0, 0], [np.conj(eps), 0, -n_z]])
 
     def prop(t):
+        t = np.asarray(t)[..., None, None]
         return (np.eye(3)
                 - 1j * (np.sin(R * t) / R) * H
                 + (np.cos(R * t) - 1.0) * np.diag([1.0, 0.0, 1.0]))
 
     def state(t):
-        return np.array([
+        return _stack(t, [
             np.cos(R * t) - 1j * (n_z / R) * np.sin(R * t),
             0.0,
             -1j * (np.conj(eps) / R) * np.sin(R * t)])
@@ -185,7 +223,7 @@ def scenario_so3(n_z: float = 0.6, eps: complex = 0.8) -> Scenario:
     return Scenario(
         name="so3", dim=3,
         params={"n_z": n_z, "eps": eps},
-        hamiltonian_at=lambda t: H,
+        hamiltonian_at=_constant(H),
         propagator_at=prop,
         psi0=psi0,
         period=2 * np.pi / R,
@@ -229,7 +267,7 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
 
     def ham(t):
         c, s = np.cos(Omega * t), np.sin(Omega * t)
-        return R * np.array([[0, c, 0], [c, 0, -1j * s], [0, 1j * s, 0]])
+        return R * _stack(t, [[0, c, 0], [c, 0, -1j * s], [0, 1j * s, 0]])
 
     problem = ControlProblem(
         dim=3,
@@ -240,7 +278,7 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
         params={"R": R, "Omega": Omega, "Delta0": tuple(D)},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(Omega * _CORNER, H0),
-        constraint_at=lambda t: Omega * _CORNER,
+        constraint_at=_constant(Omega * _CORNER),
         psi0=psi0,
         period=(2 * np.pi / abs(Omega) if Omega else 2 * np.pi / R),
         problem=problem,
@@ -308,7 +346,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
 
     def ham(t):
         ck, sk = np.cos(kmod * t), np.sin(kmod * t)
-        return R * np.array([
+        return R * _stack(t, [
             [0, np.exp(1j * phi) * ck, 0],
             [np.exp(-1j * phi) * ck, 0, np.exp(-1j * theta) * sk],
             [0, np.exp(1j * theta) * sk, 0]])
@@ -316,7 +354,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
     def state(t):
         cd, sd = np.cos(t * Delta), np.sin(t * Delta)
         ck, sk = np.cos(kmod * t), np.sin(kmod * t)
-        return np.array([
+        return _stack(t, [
             cd * ck + (kmod / Delta) * sk * sd,
             -(1j * np.conj(eps1_0) / Delta) * sd,
             1j * np.conj(kappa) * (sk * cd / kmod - sd * ck / Delta)])
@@ -339,7 +377,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
         params={"eps1_0": eps1_0, "kappa": kappa, "theta": theta},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(F, H0),
-        constraint_at=lambda t: F,
+        constraint_at=_constant(F),
         psi0=psi0,
         target=np.array([0, 0, 1], dtype=complex),
         min_time=np.pi / (2 * kmod),
@@ -374,8 +412,8 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
     def ham(t):
         K = C * np.sin(eta * t) + N * np.cos(eta * t)
         T = A * np.sin(eta * t) + B * np.cos(eta * t)
-        return np.array([[0, -1j * K, 0], [1j * K, 0, -1j * T],
-                         [0, 1j * T, 0]])
+        return _stack(t, [[0, -1j * K, 0], [1j * K, 0, -1j * T],
+                          [0, 1j * T, 0]])
 
     delta = np.arctan2(B, N)    # K = R cos(eta t + delta), T = R sin(...)
 
@@ -398,7 +436,7 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
         params={"A": A, "B": B, "C": C, "N": N, "eta": eta},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(eta * MF, ham(0.0)),
-        constraint_at=lambda t: eta * MF,
+        constraint_at=_constant(eta * MF),
         psi0=psi0,
         period=(2 * np.pi / abs(eta) if eta else 2 * np.pi / R),
         problem=problem,
@@ -432,7 +470,8 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     F0 = sum(c * g for c, g in zip(coeffs, constraint))
 
     def state(t):
-        return np.array([np.cos(2 * lx * t), 0, 0, -1j * np.sin(2 * lx * t)])
+        return _stack(t, [np.cos(2 * lx * t), 0, 0,
+                          -1j * np.sin(2 * lx * t)])
 
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     bell = np.array([1, 0, 0, -1j], dtype=complex) / np.sqrt(2)
@@ -441,9 +480,9 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     return Scenario(
         name="su4-heisenberg", dim=4,
         params={"lambda_x": lx},
-        hamiltonian_at=lambda t: H0,
+        hamiltonian_at=_constant(H0),
         propagator_at=_frame_propagator(np.zeros((4, 4)), H0),
-        constraint_at=lambda t: F0,
+        constraint_at=_constant(F0),
         psi0=psi0,
         target=bell,
         period=np.pi / lx,
@@ -481,13 +520,13 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
     K = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
     def ham(t):
-        ph = np.exp(-2j * t)
-        return np.block([[alpha * np.eye(2), ph * B],
-                         [np.conj(ph) * B.conj().T, -alpha * np.eye(2)]])
+        ph = np.exp(-2j * np.asarray(t))[..., None, None]
+        return _stack(t, [[alpha * np.eye(2), ph * B],
+                          [np.conj(ph) * B.conj().T, -alpha * np.eye(2)]])
 
     def constraint(t):
-        ph = np.exp(-2j * t)
-        return np.block([[X1, ph * A], [np.conj(ph) * A.conj().T, X2]])
+        ph = np.exp(-2j * np.asarray(t))[..., None, None]
+        return _stack(t, [[X1, ph * A], [np.conj(ph) * A.conj().T, X2]])
 
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     return Scenario(
@@ -776,29 +815,22 @@ def validate(scenario: Scenario) -> ValidationReport:
     T = scenario.period or 1.0
     grid = np.linspace(0.0, T, 100)
     dt = 1e-3
+    h = 1e-6
     dev = {}
 
-    uni = 0.0
-    stat = 0.0
-    schro = 0.0
-    trhf = 0.0
-    h = 1e-6
-    for t in grid:
-        U = scenario.propagator_at(t)
-        uni = max(uni, float(np.max(np.abs(U.conj().T @ U - np.eye(scenario.dim)))))
-        psi = scenario.state_at(t)
-        stat = max(stat, float(np.max(np.abs(psi - U @ scenario.psi0))))
-        dpsi = (scenario.state_at(t + h) - scenario.state_at(t - h)) / (2 * h)
-        schro = max(schro, float(np.max(np.abs(
-            1j * dpsi - scenario.hamiltonian_at(t) @ psi))))
-        if scenario.constraint_at is not None:
-            trhf = max(trhf, abs(trace_inner(scenario.hamiltonian_at(t),
-                                             scenario.constraint_at(t))))
-    dev["propagator_unitarity"] = uni
-    dev["state_vs_propagator"] = stat
-    dev["schrodinger_residual"] = schro
+    U = scenario.propagator_at(grid)
+    dev["propagator_unitarity"] = float(np.max(np.abs(
+        U.conj().swapaxes(-1, -2) @ U - np.eye(scenario.dim))))
+    psi = scenario.state_at(grid)
+    dev["state_vs_propagator"] = float(np.max(np.abs(
+        psi - U @ scenario.psi0)))
+    dpsi = (scenario.state_at(grid + h) - scenario.state_at(grid - h)) / (2 * h)
+    H = scenario.hamiltonian_at(grid)
+    dev["schrodinger_residual"] = float(np.max(np.abs(
+        1j * dpsi - (H @ psi[..., None])[..., 0])))
     if scenario.constraint_at is not None:
-        dev["trace_HF"] = trhf
+        dev["trace_HF"] = float(np.max(np.abs(np.trace(
+            H @ scenario.constraint_at(grid), axis1=-2, axis2=-1).real)))
 
     t_ord = min(T, 1.0)
     U_num = ordered_exponential(scenario.hamiltonian_at, t_ord, dt)
@@ -811,12 +843,10 @@ def validate(scenario: Scenario) -> ValidationReport:
         t_evo = min(T, 2.0)
         traj = evolve(scenario.problem, scenario.hamiltonian_at(0.0), F0,
                       scenario.psi0, t_evo, dt=dt, record_every=10)
-        errH = max(float(np.max(np.abs(H - scenario.hamiltonian_at(t))))
-                   for t, H in zip(traj.times, traj.Hs))
-        errpsi = max(float(np.max(np.abs(p - scenario.state_at(t))))
-                     for t, p in zip(traj.times, traj.psis))
-        dev["integrator_H"] = errH
-        dev["integrator_state"] = errpsi
+        dev["integrator_H"] = float(np.max(np.abs(
+            traj.Hs - scenario.hamiltonian_at(traj.times))))
+        dev["integrator_state"] = float(np.max(np.abs(
+            traj.psis - scenario.state_at(traj.times))))
 
     # minimum-time claims hold only on the quantization locus of the
     # parameters, so they are reported as diagnostics rather than folded

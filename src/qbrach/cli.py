@@ -42,6 +42,9 @@ FMT = "%.17g"
 MAX_STEPS = 10**6
 RUN_T_MAX = 1.0
 RUN_DT = 1e-3
+# grid times a closed-form scenario is evaluated on per call: one block's
+# arrays stay small beside the rest of the process
+SAMPLE_BLOCK = 256
 
 
 def _setup_logging():
@@ -83,38 +86,35 @@ def _header(dim: int, target=None) -> list:
     return header
 
 
-def _table(samples, dim: int, target=None):
-    """Header and a generator of rows for trajectory samples (t, psi, H, F);
-    each row is computed when it is written."""
-
-    def rows():
-        for t, psi, H, F in samples:
-            row = [t]
-            for c in psi:
-                row.extend((c.real, c.imag))
-            row.append(float(np.trace(H @ H).real))
-            row.append(float(np.trace(H @ F).real))
-            row.append(float(np.linalg.norm(psi)))
-            if target is not None:
-                row.append(float(abs(np.vdot(target, psi)) ** 2))
-            yield row
-
-    return _header(dim, target), rows()
-
-
 def _scenario_rows(scn, t_max: float, dt: float):
-    """Sample a closed-form scenario on a uniform grid."""
+    """Header and a generator of rows sampling a closed-form scenario at
+    t = min(i dt, t_max), i = 0..round(t_max / dt).  The grid is evaluated
+    SAMPLE_BLOCK times per call of each time function."""
     n = max(int(round(t_max / dt)), 1)
 
-    def samples():
-        for i in range(n + 1):
-            t = min(i * dt, t_max)
+    def rows():
+        for start in range(0, n + 1, SAMPLE_BLOCK):
+            t = np.minimum(np.arange(start, min(start + SAMPLE_BLOCK, n + 1))
+                           * dt, t_max)
             H = scn.hamiltonian_at(t)
             F = scn.constraint_at(t) if scn.constraint_at is not None \
                 else np.zeros_like(H)
-            yield t, scn.state_at(t), H, F
+            psi = scn.state_at(t)
+            cols = [t[:, None], psi.view(float),
+                    np.trace(H @ H, axis1=-2, axis2=-1).real[:, None],
+                    np.trace(H @ F, axis1=-2, axis2=-1).real[:, None]]
+            # per row, the same sums in the same order as np.linalg.norm and
+            # np.vdot, so both columns equal those calls bit for bit
+            re, im = psi.real[:, None, :], psi.imag[:, None, :]
+            cols.append(np.sqrt(re @ re.swapaxes(-1, -2)
+                                + im @ im.swapaxes(-1, -2))[:, 0])
+            if scn.target is not None:
+                # Python's abs: np.abs differs from it in the last bit
+                overlaps = (scn.target.conj() @ psi[..., None])[:, 0].tolist()
+                cols.append(np.array([abs(z) ** 2 for z in overlaps])[:, None])
+            yield from np.hstack(cols).tolist()
 
-    return _table(samples(), scn.dim, scn.target)
+    return _header(scn.dim, scn.target), rows()
 
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
@@ -183,9 +183,9 @@ def _write_table(header, rows, out, fmt: str) -> int:
     if fmt == "json":
         lines = _json_lines(header, counted())
     else:
+        line = ",".join([FMT] * len(header))
         lines = itertools.chain([",".join(header)],
-                                (",".join(FMT % v for v in row)
-                                 for row in counted()))
+                                (line % tuple(row) for row in counted()))
     _write_text(lines, out)
     return count
 

@@ -73,11 +73,12 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def expm(self, t: float) -> np.ndarray:
-        """U = exp(-i H t) for the H this spectrum decomposes."""
-        phases = np.exp(-1j * self.eigenvalues * t)
+    def expm(self, t) -> np.ndarray:
+        """U = exp(-i H t) for the H this spectrum decomposes: (d, d) for a
+        scalar t, (N, d, d) for an array of N times."""
+        phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
         V = self.eigenvectors
-        return (V * phases) @ V.conj().T
+        return (V * phases[..., None, :]) @ V.conj().T
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
@@ -107,12 +108,14 @@ def expm_h(H, t: float = 1.0) -> np.ndarray:
     return hermitian_eig(H).expm(t)
 
 
-def ordered_exponential(H: Callable[[float], np.ndarray],
+def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
                         t_max: float, dt: float) -> np.ndarray:
     """Step-ordered product of exp(-i H(t_k + dt/2) dt), midpoint rule.
 
-    Recovers the closed-form exponential only when the integrand
-    self-commutes; otherwise it is the time-ordered propagator.
+    H is called once, on the array of midpoints, and returns one matrix per
+    midpoint (or one matrix for all of them).  Recovers the closed-form
+    exponential only when the integrand self-commutes; otherwise it is the
+    time-ordered propagator.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -120,12 +123,13 @@ def ordered_exponential(H: Callable[[float], np.ndarray],
         raise ValidationError("dt must not exceed t_max")
     n_full = int(t_max / dt)
     remainder = t_max - n_full * dt
-    dim = as_matrix(H(0.0)).shape[0]
-    U = np.eye(dim, dtype=complex)
-    t = 0.0
-    for _ in range(n_full):
-        U = expm_h(H(t + dt / 2.0), dt) @ U
-        t += dt
-    if remainder > 1e-15:
-        U = expm_h(H(t + remainder / 2.0), remainder) @ U
+    # t_k as the running sum of the steps, the last one the remainder's start
+    starts = np.concatenate(([0.0], np.cumsum(np.full(n_full, dt))))
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-15 else [])
+    mids = starts[:len(steps)] + np.array(steps) / 2.0
+    Hs = H(mids)
+    Hs = np.broadcast_to(Hs, mids.shape + np.shape(Hs)[-2:])
+    U = np.eye(Hs.shape[-1], dtype=complex)
+    for Hk, step in zip(Hs, steps):
+        U = expm_h(Hk, step) @ U
     return U

@@ -71,6 +71,52 @@ class TestFramePropagator:
             assert np.max(np.abs(scn.propagator_at(t) - want)) < 1e-12, t
 
 
+# (scenario, time function) for every time function a scenario has: so3
+# has no constraint
+TIME_CASES = [(name, fn_name) for name, builder in ALL_BUILDERS
+              for fn_name in ("hamiltonian_at", "constraint_at",
+                              "propagator_at", "state_at")
+              if getattr(builder(), fn_name) is not None]
+
+
+class TestTimeArrays:
+    """Every time function of a scenario takes an array of times."""
+
+    @pytest.mark.parametrize("name,fn_name", TIME_CASES)
+    def test_array_equals_stacked_scalars(self, name, fn_name):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        fn = getattr(scn, fn_name)
+        ts = np.linspace(-1.0, 2 * scn.period, 50)
+        want = np.stack([fn(t) for t in ts.tolist()])
+        got = fn(ts)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("name,fn_name", TIME_CASES)
+    def test_scalar_keeps_its_shape(self, name, fn_name):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        fn = getattr(scn, fn_name)
+        want = (scn.dim,) if fn_name == "state_at" else (scn.dim, scn.dim)
+        for t in (0.0, 0.7, np.float64(1.3)):
+            assert fn(t).shape == want
+
+    def test_validate_matches_scalar_loop(self):
+        # the grid checks of validate, taken one scalar time at a time
+        scn = catalog.scenario_dirac()
+        rep = catalog.validate(scn)
+        grid, h = np.linspace(0.0, scn.period, 100).tolist(), 1e-6
+        schro = max(float(np.max(np.abs(
+            1j * (scn.state_at(t + h) - scn.state_at(t - h)) / (2 * h)
+            - scn.hamiltonian_at(t) @ scn.state_at(t)))) for t in grid)
+        trhf = max(abs(float(np.trace(scn.hamiltonian_at(t)
+                                      @ scn.constraint_at(t)).real))
+                   for t in grid)
+        assert rep.deviations["schrodinger_residual"] == pytest.approx(
+            schro, rel=1e-12, abs=1e-15)
+        assert rep.deviations["trace_HF"] == pytest.approx(
+            trhf, rel=1e-12, abs=1e-15)
+
+
 class TestSu2:
     def test_min_time_and_transfer(self):
         scn = catalog.scenario_su2(k=1.0, Omega=0.0)

@@ -139,6 +139,56 @@ class TestRunCsv:
         assert header[-1] == "norm"
 
 
+def scalar_rows(scn, t_max, dt):
+    """The rows of a closed-form run, one scalar call per time function
+    and row."""
+    rows = []
+    for i in range(max(int(round(t_max / dt)), 1) + 1):
+        t = min(i * dt, t_max)
+        H, psi = scn.hamiltonian_at(t), scn.state_at(t)
+        F = (scn.constraint_at(t) if scn.constraint_at is not None
+             else np.zeros_like(H))
+        row = [t, *psi.view(float), np.trace(H @ H).real,
+               np.trace(H @ F).real, np.linalg.norm(psi)]
+        if scn.target is not None:
+            row.append(abs(np.vdot(scn.target, psi)) ** 2)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestClosedFormBlocks:
+    """run samples a closed form SAMPLE_BLOCK grid times per call."""
+
+    # 601 rows: two full blocks and a part of one; 6,001 rows: 24 blocks
+    @pytest.mark.parametrize("name,t_max", [
+        *((name, 0.06) for name in sorted(catalog.SCENARIO_BUILDERS)),
+        ("su3-geodesic", 0.6)])
+    def test_run_longer_than_one_block(self, name, t_max, tmp_path):
+        dt = 1e-4
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--scenario", name, "--t-max", str(t_max),
+                        "--dt", str(dt), "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert len(got) == round(t_max / dt) + 1 > cli.SAMPLE_BLOCK
+        want = scalar_rows(catalog.SCENARIO_BUILDERS[name](), t_max, dt)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("t_max", [0.1234, 0.1236])
+    def test_last_row_at_t_max_off_the_grid(self, t_max, tmp_path):
+        # round(t_max / dt) steps: 123 stop short of t_max, 124 clip to it
+        dt = 1e-3
+        out = tmp_path / "t.csv"
+        assert run_cli(["run", "--scenario", "su3-geodesic", "--t-max",
+                        str(t_max), "--dt", str(dt), "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        n = int(round(t_max / dt))
+        assert len(got) == n + 1
+        assert got[-1, 0] == min(n * dt, t_max)
+        want = scalar_rows(catalog.scenario_su3_geodesic(), t_max, dt)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 class TestDriftAbort:
     ARGS = ["run", "--scenario", "sun-family", "--param", "n=4",
             "--param", "kind=tridiagonal", "--t-max", "10000", "--dt", "10"]

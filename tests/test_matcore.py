@@ -87,3 +87,38 @@ class TestPropagation:
         H = random_hermitian(3, 8)
         U = mc.ordered_exponential(lambda t: H, 1.0, 1e-3)
         assert np.max(np.abs(U - mc.expm_h(H, 1.0))) < 1e-10
+
+    def test_ordered_exponential_time_dependent(self):
+        # H is called once on the midpoints; the reference steps one
+        # scalar midpoint at a time, t advancing by repeated addition
+        A, B = random_hermitian(3, 9), random_hermitian(3, 10)
+
+        def H(t):
+            return np.multiply.outer(np.cos(t), A) + np.multiply.outer(
+                np.sin(t), B)
+
+        t_max, dt = 0.2537, 1e-2
+        n_full = int(t_max / dt)
+        remainder = t_max - n_full * dt
+        want, t = np.eye(3, dtype=complex), 0.0
+        for _ in range(n_full):
+            want = mc.expm_h(H(t + dt / 2.0), dt) @ want
+            t += dt
+        want = mc.expm_h(H(t + remainder / 2.0), remainder) @ want
+        U = mc.ordered_exponential(H, t_max, dt)
+        assert np.max(np.abs(U - want)) <= 1e-14
+
+
+class TestSpectrumExpm:
+    def test_array_equals_stacked_scalars(self):
+        spec = mc.hermitian_eig(random_hermitian(4, 11))
+        ts = np.linspace(-2.0, 3.0, 50)
+        got = spec.expm(ts)
+        assert got.shape == (50, 4, 4)
+        want = np.stack([spec.expm(t) for t in ts.tolist()])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_scalar_keeps_its_shape(self):
+        spec = mc.hermitian_eig(random_hermitian(3, 12))
+        for t in (0.0, -0.4, np.float64(2.5)):
+            assert spec.expm(t).shape == (3, 3)
