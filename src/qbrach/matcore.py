@@ -23,19 +23,22 @@ class ValidationError(ValueError):
     """Raised when a matrix/state fails a structural precondition."""
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex ndarray."""
+def as_matrix(M, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex ndarray; with stack=True, to a stack
+    (..., d, d) of square matrices."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if (A.ndim < 2 if stack else A.ndim != 2) or A.shape[-2] != A.shape[-1]:
         raise ValidationError(f"expected square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValidationError("matrix entries must be finite")
     return A
 
 
-def check_hermitian(M) -> np.ndarray:
-    A = as_matrix(M)
-    dev = np.max(np.abs(A - A.conj().T))
+def check_hermitian(M, stack: bool = False) -> np.ndarray:
+    """A finite Hermitian matrix, or with stack=True a stack (..., d, d)
+    of them checked at once (the error names the worst deviation)."""
+    A = as_matrix(M, stack)
+    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)))
     if dev > HERM_TOL:
         raise ValidationError(f"matrix not Hermitian: max |M - M^dag| = {dev:.3e}")
     return A
@@ -68,37 +71,39 @@ def trace_inner(A, B) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, of one
+    matrix ((d,) and (d, d)) or of a stack ((..., d) and (..., d, d))."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def expm(self, t) -> np.ndarray:
         """U = exp(-i H t) for the H this spectrum decomposes: (d, d) for a
-        scalar t, (N, d, d) for an array of N times."""
+        scalar t, (N, d, d) for an array of N times.  For a stack, t
+        broadcasts against its leading axes (one time per matrix)."""
         phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
         V = self.eigenvectors
-        return (V * phases[..., None, :]) @ V.conj().T
+        return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude component real positive.
+    """Make each column's largest-magnitude component real positive, for
+    one matrix (d, d) or a stack (..., d, d).
 
-    Ties broken by lowest index (np.argmax convention).
+    Ties broken by lowest index (np.argmax convention); a zero column
+    stays zero.  The modulus is np.hypot of the parts, which rounds as the
+    scalar abs() of one complex pivot does.
     """
-    W = V.copy()
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0:
-            W[:, j] = col * (piv.conjugate() / abs(piv))
-    return W
+    rows = np.argmax(np.abs(V), axis=-2)
+    piv = np.take_along_axis(V, rows[..., None, :], axis=-2)[..., 0, :]
+    mod = np.hypot(piv.real, piv.imag)
+    return V * (piv.conj() / np.where(mod > 0, mod, 1.0))[..., None, :]
 
 
-def hermitian_eig(M) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases."""
-    A = check_hermitian(M)
+def hermitian_eig(M, stack: bool = False) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix with deterministic phases;
+    with stack=True, of a stack (..., d, d) in one call."""
+    A = check_hermitian(M, stack)
     vals, vecs = np.linalg.eigh(A)
     return Spectrum(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 
@@ -113,7 +118,10 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     """Step-ordered product of exp(-i H(t_k + dt/2) dt), midpoint rule.
 
     H is called once, on the array of midpoints, and returns one matrix per
-    midpoint (or one matrix for all of them).  Recovers the closed-form
+    midpoint (or one matrix for all of them).  The (n_steps, d, d) stack is
+    checked for finite Hermitian entries and diagonalized in one call, every
+    step propagator is built in one batched product, and only the ordered
+    product U = U_k @ U runs step by step.  Recovers the closed-form
     exponential only when the integrand self-commutes; otherwise it is the
     time-ordered propagator.
     """
@@ -125,11 +133,12 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     remainder = t_max - n_full * dt
     # t_k as the running sum of the steps, the last one the remainder's start
     starts = np.concatenate(([0.0], np.cumsum(np.full(n_full, dt))))
-    steps = [dt] * n_full + ([remainder] if remainder > 1e-15 else [])
-    mids = starts[:len(steps)] + np.array(steps) / 2.0
+    steps = np.array([dt] * n_full + ([remainder] if remainder > 1e-15 else []))
+    mids = starts[:len(steps)] + steps / 2.0
     Hs = H(mids)
     Hs = np.broadcast_to(Hs, mids.shape + np.shape(Hs)[-2:])
+    Us = hermitian_eig(Hs, stack=True).expm(steps)
     U = np.eye(Hs.shape[-1], dtype=complex)
-    for Hk, step in zip(Hs, steps):
-        U = expm_h(Hk, step) @ U
+    for Uk in Us:
+        U = Uk @ U
     return U

@@ -11,6 +11,7 @@ are reported as discrepancies, never asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,15 +211,34 @@ def cheb_ode_residual(m: int, x: float) -> float:
 # Bessel functions and the spin-wave Green's function
 # ---------------------------------------------------------------------------
 
-def bessel_J(n: int, r: float, nodes: int = 512) -> float:
+BESSEL_BLOCK = 256     # rows of r per (rows, nodes) quadrature block
+
+
+def bessel_J(n: int, r, nodes: int = 512):
     """J_n(r) by periodic-trapezoid quadrature of
     (1/2pi) \\int_{-pi}^{pi} e^{-i(n phi - r sin phi)} d phi
-    (spectrally convergent); the tiny imaginary residual is discarded."""
-    if abs(n) > 32 or abs(r) > 50:
+    (spectrally convergent); the tiny imaginary residual is discarded.
+
+    A scalar r gives a float; an array of r gives an array of its shape,
+    evaluated BESSEL_BLOCK values of r at a time.  Only cos(n phi - r sin phi),
+    the real part of the integrand, is computed; it is averaged as the real
+    part of a complex block, so the sum runs in the same order as the
+    complex mean of the full integrand.
+    """
+    r = np.asarray(r, dtype=float)
+    if abs(n) > 32 or np.any(np.abs(r) > 50):
         raise ValidationError("bessel_J supports |n| <= 32, |r| <= 50")
     phi = -np.pi + 2 * np.pi * np.arange(nodes) / nodes
-    vals = np.exp(-1j * (n * phi - r * np.sin(phi)))
-    return float(np.mean(vals).real)
+    n_phi, sin_phi = n * phi, np.sin(phi)
+    flat = r.reshape(-1)
+    out = np.empty(flat.size)
+    block = np.zeros((min(BESSEL_BLOCK, flat.size), nodes), dtype=complex)
+    for lo in range(0, flat.size, BESSEL_BLOCK):
+        rows = flat[lo:lo + BESSEL_BLOCK]
+        vals = block[:rows.size]
+        vals.real = np.cos(n_phi - rows[:, None] * sin_phi)
+        out[lo:lo + rows.size] = np.mean(vals, axis=-1).real
+    return out.reshape(r.shape) if r.ndim else float(out[0])
 
 
 def bessel_ode_residual(n: int, r: float) -> float:
@@ -492,16 +512,21 @@ def residue_at_origin(R: RationalFunction, radius: float = 0.1,
     # trapezoid sum is carried out in 50-digit arithmetic.
     import mpmath as mp
     with mp.workdps(50):
-        def horner(poly, z):
+        def descending(poly):
+            return [mp.mpf(cf.numerator) / mp.mpf(cf.denominator)
+                    for cf in reversed(poly.coefficients)]
+
+        def horner(coeffs, z):
             acc = mp.mpc(0)
-            for cf in reversed(poly.coefficients):
-                acc = acc * z + mp.mpf(cf.numerator) / mp.mpf(cf.denominator)
+            for cf in coeffs:
+                acc = acc * z + cf
             return acc
 
+        num_c, den_c = descending(R.numerator), descending(R.denominator)
         total = mp.mpc(0)
         for k in range(nodes):
             z = radius * mp.expjpi(mp.mpf(2 * k) / nodes)
-            total += z * horner(R.numerator, z) / horner(R.denominator, z)
+            total += z * horner(num_c, z) / horner(den_c, z)
         contour = complex(total / nodes)   # (1/2pi i) oint = mean of z f(z)
     return {"exact": exact, "quadrature": contour,
             "agreement": abs(contour - float(exact)),
@@ -522,13 +547,22 @@ def gauss_chebyshev_integral(P: Polynomial, nodes: int = 16) -> float:
     return float(np.pi / nodes * np.sum(vals))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_half_turn(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights mapped to [0, pi], built once per
+    node count and returned read-only."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * np.pi * (t + 1.0)
+    w = 0.5 * np.pi * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def weight_normalization(alpha: float, nodes: int = 200) -> tuple:
     """(numeric, exact) for \\int_{-1}^{1} (1-u^2)^{alpha/2} du
     = sqrt(pi) Gamma(alpha/2+1)/Gamma(alpha/2+3/2); numeric via the
     substitution u = cos(t)."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * np.pi * (t + 1.0)
-    w = 0.5 * np.pi * w
+    t, w = _gauss_legendre_half_turn(nodes)
     numeric = float(np.sum(w * np.sin(t) ** (alpha + 1)))
     exact = (np.sqrt(np.pi) * math.gamma(alpha / 2 + 1)
              / math.gamma(alpha / 2 + 1.5))
@@ -629,8 +663,8 @@ def bessel_inner_product_probe(m: int = 2, n: int = 2,
     value delta_mn / (2 pi^2), which is dimensionally inconsistent; the
     residual is reported only."""
     v = np.linspace(-np.pi, np.pi, nodes)
-    jm = np.array([bessel_J(m, x) for x in v])
-    jn = jm if n == m else np.array([bessel_J(n, x) for x in v])
+    jm = bessel_J(m, v)
+    jn = jm if n == m else bessel_J(n, v)
     val = float(np.trapezoid(jm * jn, v))
     printed = (1.0 / (2 * np.pi**2)) if m == n else 0.0
     return {"quadrature": val, "printed": printed,

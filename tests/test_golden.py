@@ -2,8 +2,10 @@
 
 Each fixture under tests/golden/ is the file `qbrach run ... --out` wrote for
 the argv in GOLDEN.  Numbers must match to 1e-12 and every string (header,
-census description and classification) exactly.  After an intended change of
-output, rewrite the fixtures with
+census description and classification) exactly.  verify-ledger.json pins the
+id, status and tolerance of every record of `qbrach verify --suite all
+--seed 42`, in order, and no residual.  After an intended change of output,
+rewrite the fixtures with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -11,6 +13,7 @@ output, rewrite the fixtures with
 import json
 import math
 import pathlib
+import tempfile
 
 import pytest
 
@@ -31,6 +34,9 @@ GOLDEN = {
         "run", "--scenario", "su3-partitions", "--t-max", "2",
         "--dt", "5e-3", "--format", "json"),
 }
+
+VERIFY_LEDGER = "verify-ledger.json"
+VERIFY_ARGV = ("verify", "--suite", "all", "--seed", "42", "--format", "json")
 
 
 def _read(path: pathlib.Path):
@@ -64,7 +70,24 @@ def test_matches_golden(name, tmp_path):
     _assert_close(_read(out), _read(GOLDEN_DIR / name), name)
 
 
+def _ledger(out: pathlib.Path) -> list:
+    """The verify report at `out` without its residuals."""
+    return [{k: r[k] for k in ("id", "status", "tolerance")}
+            for r in json.loads(out.read_text())["records"]]
+
+
+def test_verify_ledger(tmp_path):
+    out = tmp_path / "verify.json"
+    assert cli.main([*VERIFY_ARGV, "--out", str(out)]) == 0
+    assert _ledger(out) == json.loads((GOLDEN_DIR / VERIFY_LEDGER).read_text())
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in GOLDEN.items():
         assert cli.main([*argv, "--out", str(GOLDEN_DIR / name)]) == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "verify.json"
+        assert cli.main([*VERIFY_ARGV, "--out", str(out)]) == 0
+        (GOLDEN_DIR / VERIFY_LEDGER).write_text(
+            json.dumps(_ledger(out), indent=2) + "\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import matcore as mc
+from qbrach import catalog, matcore as mc
 
 
 def random_hermitian(n, seed):
@@ -107,6 +107,71 @@ class TestPropagation:
         want = mc.expm_h(H(t + remainder / 2.0), remainder) @ want
         U = mc.ordered_exponential(H, t_max, dt)
         assert np.max(np.abs(U - want)) <= 1e-14
+
+
+def _expm_h_loop(H, t_max, dt):
+    """The ordered exponential with one expm_h per midpoint, a reference
+    for the stacked form: H is called on the same array of midpoints."""
+    n_full = int(t_max / dt)
+    remainder = t_max - n_full * dt
+    starts = np.concatenate(([0.0], np.cumsum(np.full(n_full, dt))))
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-15 else [])
+    Hs = H(starts[:len(steps)] + np.array(steps) / 2.0)
+    U = np.eye(Hs.shape[-1], dtype=complex)
+    for Hk, step in zip(Hs, steps):
+        U = mc.expm_h(Hk, step) @ U
+    return U
+
+
+class TestStackedOrderedExponential:
+    @pytest.mark.parametrize("name", sorted(catalog.SCENARIO_BUILDERS))
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 1e-3), (0.2537, 1e-2)])
+    def test_equals_expm_h_loop(self, name, t_max, dt):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        assert np.array_equal(
+            mc.ordered_exponential(scn.hamiltonian_at, t_max, dt),
+            _expm_h_loop(scn.hamiltonian_at, t_max, dt))
+
+    @staticmethod
+    def _spoiled_at_one_midpoint(value):
+        H0 = random_hermitian(3, 13)
+
+        def H(t):
+            Hs = np.array(np.broadcast_to(H0, np.shape(t) + (3, 3)))
+            Hs[np.shape(t)[0] // 2, 0, 1] += value
+            return Hs
+        return H
+
+    def test_rejects_non_hermitian_midpoint(self):
+        with pytest.raises(mc.ValidationError, match="not Hermitian"):
+            mc.ordered_exponential(self._spoiled_at_one_midpoint(1e-9),
+                                   1.0, 1e-2)
+
+    def test_rejects_nan_midpoint(self):
+        with pytest.raises(mc.ValidationError, match="finite"):
+            mc.ordered_exponential(self._spoiled_at_one_midpoint(np.nan),
+                                   1.0, 1e-2)
+
+    def test_fix_phases_stack_equals_column_loop(self):
+        # the convention as one column at a time with the scalar abs();
+        # the stack and each single matrix must match it bit for bit
+        def column_loop(V):
+            W = V.copy()
+            for j in range(W.shape[1]):
+                col = W[:, j]
+                piv = col[int(np.argmax(np.abs(col)))]
+                if abs(piv) > 0:
+                    W[:, j] = col * (piv.conjugate() / abs(piv))
+            return W
+
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(256, 4, 4)) + 1j * rng.normal(size=(256, 4, 4))
+        _, V = np.linalg.eigh(A + A.conj().swapaxes(-1, -2))
+        W = mc._fix_phases(V)
+        for k in range(len(V)):
+            want = column_loop(V[k])
+            assert np.array_equal(W[k], want)
+            assert np.array_equal(mc._fix_phases(V[k]), want)
 
 
 class TestSpectrumExpm:

@@ -95,6 +95,32 @@ class TestBessel:
         with pytest.raises(ValidationError):
             sp.bessel_J(33, 1.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, -3, 32])
+    def test_array_equals_scalar_calls(self, n):
+        # 2 * BESSEL_BLOCK + 77 values: the last block is a partial one
+        r = np.linspace(-50.0, 50.0, 2 * sp.BESSEL_BLOCK + 77)
+        got = sp.bessel_J(n, r)
+        assert got.shape == r.shape
+        assert np.array_equal(got, [sp.bessel_J(n, x) for x in r.tolist()])
+
+    def test_equals_complex_integrand_mean(self):
+        # the quadrature of the printed integrand, e^{-i(n phi - r sin phi)}
+        # averaged as complex numbers, bit for bit
+        phi = -np.pi + 2 * np.pi * np.arange(512) / 512
+        for n in (0, 2, -3):
+            for r in (-41.3, -0.7, 3.7, 49.9):
+                want = np.mean(np.exp(-1j * (n * phi - r * np.sin(phi)))).real
+                assert sp.bessel_J(n, r) == want
+                assert sp.bessel_J(n, np.array([r]))[0] == want
+
+    def test_scalar_gives_float(self):
+        assert type(sp.bessel_J(2, 3.7)) is float
+        assert type(sp.bessel_J(2, np.float64(3.7))) is float
+
+    def test_array_range_check(self):
+        with pytest.raises(ValidationError):
+            sp.bessel_J(1, np.array([0.0, 3.0, -50.5]))
+
 
 class TestSpinwave:
     def test_k00_is_one(self):
