@@ -12,6 +12,7 @@ conserved quantities (Tr H^2, Tr(HF), the spectrum of H + F, state norm).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -61,6 +62,17 @@ def _orthonormalize(basis: Sequence[np.ndarray], dim: int, label: str,
     return out.reshape(-1, dim, dim)
 
 
+def _bilinear(terms, z) -> np.ndarray:
+    """dz of the bilinear system held as the term list (k, a, b, v), four
+    equal-length arrays: each term adds v * z[a] * z[b] to dz[k]."""
+    k, a, b, v = terms
+    return np.bincount(k, v * z[a] * z[b], len(z))
+
+
+def _joined(parts):
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
 @dataclass
 class ControlProblem:
     """One brachistochrone instance: the driver and constraint subspace bases.
@@ -73,10 +85,11 @@ class ControlProblem:
 
         dy_k = sum_ab T[k, a, b] h_a f_b,   T[k, a, b] = Re Tr(B_k (-i)[D_a, C_b])
 
-    on y = (h, f), with B = D stacked on C.  The subspaces hold exactly in
-    these coordinates, so no projection is needed while stepping.  Tr H^2 is
-    |h|^2 and Tr HF is h . X . f, with X[a, b] = Tr(D_a C_b) the cross-Gram
-    matrix (zero to round-off).
+    on y = (h, f), with B = D stacked on C.  Only the nonzero entries of T
+    are kept, as the term list that flow() evaluates (see _bilinear).  The
+    subspaces hold exactly in these coordinates, so no projection is needed
+    while stepping.  Tr H^2 is |h|^2 and Tr HF is h . X . f, with
+    X[a, b] = Tr(D_a C_b) the cross-Gram matrix (zero to round-off).
     """
 
     dim: int
@@ -86,7 +99,7 @@ class ControlProblem:
     _driver: np.ndarray = field(init=False, repr=False)
     _constraint: np.ndarray = field(init=False, repr=False)
     _cross_gram: np.ndarray = field(init=False, repr=False)
-    _flow_tensor: np.ndarray = field(init=False, repr=False)
+    _terms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -106,8 +119,9 @@ class ControlProblem:
         comm = D[:, None] @ C
         comm -= C @ D[:, None]
         T = (Bt @ comm.reshape(nd * nc, n * n).T).imag
-        # stored as (k*a, b) so that flow() is two matrix products
-        self._flow_tensor = T.reshape((nd + nc) * nd, nc)
+        T = T.reshape(nd + nc, nd, nc)
+        k, a, b = np.nonzero(T)
+        self._terms = (k, a, nd + b, T[k, a, b])
 
     def coefficients(self, H, F) -> np.ndarray:
         """y = (h, f): coordinates of H and F in the orthonormal bases."""
@@ -124,18 +138,27 @@ class ControlProblem:
 
     def flow(self, y) -> np.ndarray:
         """dy/dt of the projected flow at y = (h, f)."""
-        nd = self._driver.shape[0]
-        return (self._flow_tensor @ y[nd:]).reshape(-1, nd) @ y[:nd]
+        return _bilinear(self._terms, y)
 
     def project_driver(self, C: np.ndarray) -> np.ndarray:
         coeffs = np.einsum("kij,ji->k", self._driver, C).real
         return np.einsum("k,kij->ij", coeffs, self._driver)
 
     def project_constraint(self, C: np.ndarray) -> np.ndarray:
-        if self._constraint.shape[0] == 0:
-            return np.zeros_like(C)
         coeffs = np.einsum("kij,ji->k", self._constraint, C).real
         return np.einsum("k,kij->ij", coeffs, self._constraint)
+
+
+def joint_flow(problems: Sequence[ControlProblem]):
+    """dz/dt of several problems' flows stepped as one flat state: z holds
+    each problem's coordinates (h, f) in turn."""
+    parts, offset = [], 0
+    for p in problems:
+        k, a, b, v = p._terms
+        parts.append((k + offset, a + offset, b + offset, v))
+        offset += len(p._driver) + len(p._constraint)
+    terms = _joined(parts)
+    return lambda z: _bilinear(terms, z)
 
 
 @dataclass(frozen=True)
@@ -205,27 +228,18 @@ class Sample(NamedTuple):
 _DRIFTS = Sample._fields[-4:]
 
 
-def _state_tensor(problem: ControlProblem) -> np.ndarray:
-    """Q of the fused flow dz = (Q @ z[nd:]).reshape(K, nd) @ z[:nd] on the
-    state z = (h, f, Re/Im psi) of length K, psi interleaved.
-
-    Both parts are bilinear in h: the (h, f) rows hold the flow tensor T,
-    the psi rows the real form of -i D_a, so dpsi = -i H psi.
-    """
+def _psi_terms(problem: ControlProblem, offset: int):
+    """Terms of dpsi = -i H psi on the interleaved (Re, Im) pairs of psi at
+    z[offset:], with h at z[:nd]: -i D_a acts on each pair as the 2x2
+    blocks [[Im D_a, Re D_a], [-Re D_a, Im D_a]]."""
     D, n = problem._driver, problem.dim
-    nd, nc = D.shape[0], problem._constraint.shape[0]
-    m = nd + nc
-    K = m + 2 * n
-    Q = np.zeros((K, nd, K - nd))
-    Q[:m, :, :nc] = problem._flow_tensor.reshape(m, nd, nc)
-    # on interleaved (Re, Im) pairs, -i D_a acts as the 2x2 blocks
-    # [[Im D_a, Re D_a], [-Re D_a, Im D_a]]
-    R = np.empty((nd, n, 2, n, 2))
+    R = np.empty((len(D), n, 2, n, 2))
     R[:, :, 0, :, 0] = R[:, :, 1, :, 1] = D.imag
     R[:, :, 0, :, 1] = D.real
     R[:, :, 1, :, 0] = -D.real
-    Q[m:, :, nc:] = R.reshape(nd, 2 * n, 2 * n).transpose(1, 0, 2)
-    return Q.reshape(K * nd, K - nd)
+    R = R.reshape(len(D), 2 * n, 2 * n)
+    a, i, j = np.nonzero(R)
+    return offset + i, a, offset + j, R[a, i, j]
 
 
 def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
@@ -233,16 +247,27 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     """Fixed-step RK4 on the joint system (psi, H, F), one sample at a time.
 
     Returns a generator of Samples: step 0, every record_every-th step and
-    the last step.  H and F are stepped in their subspace coordinates, so
-    they stay in their subspaces exactly; psi is stepped alongside through
-    the same bilinear state tensor and renormalized if its norm drifts
-    beyond 1e-12.  H0 and F0 must lie in their subspaces to 1e-8; bad input
-    raises here, before the first sample.  Raises DriftAbort at a sample
-    where any tracked invariant (norm, Tr H^2, Tr HF, spectrum of H + F)
-    drifts beyond 1e-4 or is not finite.
+    the last step of round(t_max / dt) (at least one).  H and F are stepped
+    in their subspace coordinates, so they stay in their subspaces exactly;
+    psi is stepped alongside, its interleaved (Re, Im) parts appended to
+    (h, f) in one state z.  Both parts of the flow are bilinear in z, so
+    one term list holds them: the problem's flow terms and those of
+    dpsi = -i H psi.  psi is renormalized if its norm drifts beyond 1e-12.
+
+    t_max and dt must be positive with t_max / dt finite, record_every a
+    positive integer, and H0 and F0 must lie in their subspaces to 1e-8;
+    bad input raises ValidationError here, before the first sample.
+    Raises DriftAbort at a sample where any tracked invariant (norm,
+    Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not finite.
     """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    if not (t_max > 0 and math.isfinite(t_max / dt)):
+        raise ValidationError(
+            f"t_max must be positive with t_max / dt finite, got {t_max!r}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValidationError(
+            f"record_every must be a positive integer, got {record_every!r}")
     H, F = check_hermitian(H0), check_hermitian(F0)
     psi = check_state(psi0)
     brach_rhs(H, F, problem)  # validate subspace membership at t=0
@@ -250,8 +275,7 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     n, nd = problem.dim, problem._driver.shape[0]
     y0 = problem.coefficients(H, F)
     m = y0.shape[0]
-    K = m + 2 * n
-    Q = _state_tensor(problem)
+    terms = _joined([problem._terms, _psi_terms(problem, m)])
     X = problem._cross_gram
     # G = H + F = y . B, the isospectral object: dG/dt = -i [G, F]
     B = np.concatenate([problem._driver, problem._constraint]).reshape(m, -1)
@@ -262,7 +286,7 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     n_steps = max(int(round(t_max / dt)), 1)
 
     def rhs(z):
-        return (Q @ z[nd:]).reshape(K, nd) @ z[:nd]
+        return _bilinear(terms, z)
 
     def sample(step, z):
         y, w = z[:m], z[m:]

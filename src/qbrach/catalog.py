@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .matcore import ValidationError, hermitian_eig, ordered_exponential
-from .brach import ControlProblem, evolve, rk4_step
+from .brach import ControlProblem, evolve, joint_flow, rk4_step
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -645,8 +645,8 @@ def _h_distances(problem, ys, y_ref):
 
 def _rk4_path(flow, y, n_steps, dt):
     """RK4 path of dy/dt = flow(y): row s holds y after s steps, row 0 is
-    y.  y may carry leading axes, as the census's batch of pairs does."""
-    ys = np.empty((n_steps + 1, *np.shape(y)))
+    y."""
+    ys = np.empty((n_steps + 1, len(y)))
     ys[0] = y
     for s in range(1, n_steps + 1):
         ys[s] = y = rk4_step(flow, y, dt)
@@ -761,27 +761,17 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
         pairs.append((desc, problem, problem.project_driver(H0),
                       problem.project_constraint(F0)))
 
-    # Every pair spans su(3) (driver + constraint dimension 8), so each flow
-    # tensor T[k, a, b] pads into one (8, 8, 8) block Q[k, a, b] in (h, f)
-    # coordinates, zero unless a is a driver and b a constraint coordinate,
-    # and one RK4 path steps all four pairs together.
-    Q = np.zeros((len(pairs), 8, 8, 8))
-    for q, (_, problem, _, _) in zip(Q, pairs):
-        nd = problem._driver.shape[0]
-        q[:, :nd, nd:] = problem._flow_tensor.reshape(8, nd, 8 - nd)
-    Q = Q.reshape(len(pairs), 64, 8)
-
-    def flow(Y):
-        Y = Y[..., None]
-        return ((Q @ Y).reshape(-1, 8, 8) @ Y)[..., 0]
-
-    paths = _rk4_path(flow, np.stack([p.coefficients(H0, F0)
+    # Every pair spans su(3), so its coordinates (h, f) are 8 numbers: one
+    # RK4 path steps the four pairs as one flat state, pair i at offset 8i.
+    paths = _rk4_path(joint_flow([p for _, p, _, _ in pairs]),
+                      np.concatenate([p.coefficients(H0, F0)
                                       for _, p, H0, F0 in pairs]),
                       int(round(t_max / dt)), dt)
-    # pair i reads the view paths[:, i]: a copy per pair would add to the
-    # peak memory the whole path already sets
+    # pair i reads the view paths[:, 8i:8i+8]: a copy per pair would add to
+    # the peak memory the whole path already sets
     return [PartitionResult(i + 1, desc, H0, F0, problem,
-                            *_classify_flow(problem, paths[:, i], dt))
+                            *_classify_flow(problem,
+                                            paths[:, 8 * i:8 * i + 8], dt))
             for i, (desc, problem, H0, F0) in enumerate(pairs)]
 
 

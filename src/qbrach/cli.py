@@ -268,6 +268,12 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    # numpy's generators take non-negative seeds only: reject one before
+    # any suite runs, as `run` does
+    if args.seed < 0:
+        print(f"bad parameters: seed must be non-negative, got {args.seed}",
+              file=sys.stderr)
+        return EXIT_BAD_PARAMS
     env = report.run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         lines = [json.dumps(env.to_dict(), indent=2)]

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,9 +25,13 @@ KINDS = ("antidiagonal", "tridiagonal", "diagonal")
 
 class TestControlProblem:
     def test_rejects_overlapping_subspaces(self):
-        with pytest.raises(ValidationError):
+        # neither basis is orthonormal, so each warns before the cross check
+        with pytest.warns(UserWarning) as seen, \
+                pytest.raises(ValidationError, match="trace-orthogonal"):
             brach.ControlProblem(dim=2, driver_basis=[SX, SZ],
                                  constraint_basis=[SZ])
+        assert [str(w.message).split()[0] for w in seen] == [
+            "driver", "constraint"]
 
     def test_rejects_orthonormal_overlapping_subspaces(self):
         # both bases orthonormal on their own, so only the cross check fires
@@ -60,8 +65,14 @@ class TestControlProblem:
                 comm = Da @ Cb - Cb @ Da
                 for k, Bk in enumerate(B):
                     T[k, a, b] = np.trace(Bk @ comm).imag
-        assert np.max(np.abs(prob._flow_tensor - T.reshape(-1, len(C)))) \
-            < 1e-14
+        # scatter the terms dy_k += v y_a y_b back into a dense (k, a, b)
+        # array on y = (h, f): only driver-constraint products may appear
+        m = len(B)
+        dense = np.zeros((m, m, m))
+        np.add.at(dense, prob._terms[:3], prob._terms[3])
+        assert np.max(np.abs(dense[:, :len(D), len(D):] - T)) < 1e-14
+        dense[:, :len(D), len(D):] = 0.0
+        assert not dense.any()
 
     def test_projections_are_idempotent(self):
         prob = su2_problem()
@@ -71,6 +82,15 @@ class TestControlProblem:
         P = prob.project_driver(C)
         assert np.max(np.abs(prob.project_driver(P) - P)) < 1e-12
         assert np.max(np.abs(prob.project_constraint(P))) < 1e-12
+
+
+    def test_empty_constraint_basis(self):
+        # so3 has no constraint: F projects to zero and H is constant
+        prob = catalog.scenario_so3().problem
+        A = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3, k=1)
+        A = A + A.conj().T
+        assert not prob.project_constraint(A).any()
+        assert not prob.flow(prob.coefficients(A, A)).any()
 
 
 class TestRhs:
@@ -214,6 +234,25 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             brach.integrate(su2_problem(), SZ, SX,
                             np.array([1, 0], dtype=complex), 1.0, 1e-2)
+
+    @pytest.mark.parametrize("t_max, dt, record_every", [
+        (1.0, 1e-2, 0), (1.0, 1e-2, -3), (1.0, 1e-2, 1.5),
+        (math.inf, 1e-2, 1), (math.nan, 1e-2, 1), (-1.0, 1e-2, 1),
+        (0.0, 1e-2, 1), (1e300, 1e-10, 1),
+        (1.0, math.inf, 1), (1.0, math.nan, 1), (1.0, -1e-2, 1)])
+    @pytest.mark.parametrize("run", [brach.integrate, brach.evolve])
+    def test_bad_grid_raises_at_call_time(self, run, t_max, dt, record_every):
+        fam = catalog.family_sun(3, "tridiagonal")
+        psi0 = np.array([1, 0, 0], dtype=complex)
+        with pytest.raises(ValidationError):
+            run(fam.problem, fam.H0, fam.F0, psi0, t_max, dt, record_every)
+
+    def test_renormalization_holds_the_norm(self):
+        # RK4 alone lets the norm drift to about 3e-9 on this grid
+        fam = catalog.family_sun(4, "antidiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 5.0, dt=5e-2)
+        assert np.max(traj.norm_drift) <= brach.RENORM_THRESHOLD
 
     def test_drift_just_above_the_limit_aborts(self):
         # one step of dt 0.5 moves the spectrum of H + F by about 4e-4:

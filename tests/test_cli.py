@@ -286,3 +286,15 @@ class TestVerify:
         assert residual[42] == pytest.approx(1.22e-14, rel=1e-2)
         assert residual[7] == pytest.approx(2.00e-14, rel=1e-2)
         assert residual[42] != residual[7]
+
+    @pytest.mark.parametrize("suite", ["all", "gates"])
+    def test_negative_seed_rejected_before_any_suite(self, suite,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(cli.report, "SUITES", {})
+        assert run_cli(["verify", "--suite", suite, "--seed", "-1"]) == 65
+        assert "bad parameters" in capsys.readouterr().err
+
+    def test_run_rejects_a_negative_seed(self, capsys):
+        assert run_cli(["run", "--scenario", "sun-family", "--seed", "-1",
+                        "--t-max", "0.01"]) == 65
+        assert "bad parameters" in capsys.readouterr().err
