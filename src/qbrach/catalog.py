@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, hermitian_eig, ordered_exponential
+from .matcore import (ValidationError, check_hermitian, hermitian_eig,
+                      ordered_exponential, trace_inner)
 from .brach import ControlProblem, evolve, joint_flow, rk4_step
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -107,6 +108,18 @@ class Scenario:
     problem: Optional[ControlProblem] = None
     extras: dict = field(default_factory=dict)
     _state_fn: Optional[Callable] = None
+
+    def __post_init__(self):
+        # a parameter that is not finite, or so large that the energy
+        # overflows, shows in H(0) or F(0): reject it before any sample
+        for at in (self.hamiltonian_at, self.constraint_at):
+            if at is None:
+                continue
+            M = check_hermitian(at(0.0))
+            with np.errstate(over="ignore"):
+                if not np.isfinite(trace_inner(M, M)):
+                    raise ValidationError(
+                        f"{self.name}: Tr M^2 of H(0) or F(0) overflows")
 
     def state_at(self, t) -> np.ndarray:
         """psi(t) from psi0: the dedicated closed form if the scenario has
@@ -402,9 +415,12 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
     if R2 <= 0:
         raise ValidationError("K(0)^2 + T(0)^2 must be positive")
     ts = np.linspace(0.0, 2 * np.pi / max(abs(eta), 1.0), 41)
-    radii = [(C * np.sin(eta * t) + N * np.cos(eta * t)) ** 2
-             + (A * np.sin(eta * t) + B * np.cos(eta * t)) ** 2 for t in ts]
-    if max(radii) - min(radii) > 1e-8 * max(max(radii), 1.0):
+    with np.errstate(over="ignore"):        # an infinite radius fails below
+        radii = [(C * np.sin(eta * t) + N * np.cos(eta * t)) ** 2
+                 + (A * np.sin(eta * t) + B * np.cos(eta * t)) ** 2
+                 for t in ts]
+    if (not np.all(np.isfinite(radii))
+            or max(radii) - min(radii) > 1e-8 * max(max(radii), 1.0)):
         raise ValidationError("circle constraint violated: K^2 + T^2 varies")
     R = np.sqrt(R2)
     MF = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]])
@@ -564,9 +580,11 @@ def family_sun(n: int, kind: str, seed: int = 42) -> FamilyInstance:
                          F = diagonal + couplings with |i-j| >= 2.
     kind 'diagonal':     H = traceless diagonal, F = all off-diagonal.
 
-    For the diagonal kind H is exactly constant under the flow (a commutator
-    with a diagonal matrix has no diagonal part); for the other two kinds the
-    constancy claim is tested by the integrator and the residual reported.
+    For the diagonal and antidiagonal kinds, at every n, no term of the
+    projected flow (ControlProblem._terms) writes a driver coordinate, so H
+    is exactly constant: F(t) = e^{-iHt} F0 e^{iHt} and psi(t) = e^{-iHt}
+    psi0.  For the tridiagonal kind at n = 2 and 3 no term writes a
+    constraint coordinate, so F is constant; from n = 4 both H and F move.
     """
     if not (2 <= n <= 8):
         raise ValidationError("n must be between 2 and 8")

@@ -255,8 +255,9 @@ def cmd_run(args) -> int:
         print(f"drift abort: {exc}", file=sys.stderr)
         return EXIT_DRIFT
     # ValidationError is a ValueError; a malformed --param value raises a
-    # plain ValueError inside a builder
-    except (ValueError, TypeError) as exc:
+    # plain ValueError inside a builder, and one too large for float
+    # arithmetic an OverflowError
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     log.info("wrote %d samples for scenario %s", n_rows, args.scenario)

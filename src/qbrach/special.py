@@ -472,13 +472,21 @@ def laplace_numeric(P: Polynomial, s: float, theta_max: float = 80.0,
 # residues
 # ---------------------------------------------------------------------------
 
-def residue_at_origin(R: RationalFunction, radius: float = 0.1,
-                      nodes: int = 512) -> dict:
-    """Residue of R at s = 0, exact by series division, cross-checked by
-    (1/2pi i) times the trapezoid contour integral on a small circle.
+RESIDUE_NODES = 512        # trapezoid nodes on the contour circle
+RESIDUE_RADIUS_CAP = 2.0   # contour radius when the origin is the only pole
 
-    The contour radius shrinks automatically if the denominator has
-    other roots within it.
+
+def residue_at_origin(R: RationalFunction) -> dict:
+    """Residue of R at s = 0, exact by series division, cross-checked by
+    (1/2pi i) times the trapezoid contour integral on a circle about the
+    origin, summed in double precision.
+
+    The trapezoid rule on a circle converges geometrically, with ratio
+    radius / (distance to the nearest other pole), so the radius is half
+    that distance, capped at RESIDUE_RADIUS_CAP (the radius used when the
+    origin is the only pole).  A radius of order one also keeps a
+    high-order pole's integrand near unit size, so rounding stays at the
+    double-precision floor.
     """
     den = R.denominator
     m = 0
@@ -500,34 +508,19 @@ def residue_at_origin(R: RationalFunction, radius: float = 0.1,
         c.append(acc / d[0])
     exact = c[m - 1] if m >= 1 else Fraction(0)
 
-    other = np.roots(d_rest.as_float_coeffs()[::-1]) \
-        if d_rest.degree >= 1 else np.array([])
-    if other.size:
-        closest = float(np.min(np.abs(other)))
+    radius = RESIDUE_RADIUS_CAP
+    if d_rest.degree >= 1:
+        closest = float(np.min(np.abs(
+            np.roots(d_rest.as_float_coeffs()[::-1]))))
         if closest <= 1e-12:
             raise ValidationError("cannot separate poles at the origin")
         radius = min(radius, 0.5 * closest)
-    # High-order poles on a small circle amplify rounding error far past
-    # double precision (the integrand reaches ~1/radius^m), so the
-    # trapezoid sum is carried out in 50-digit arithmetic.
-    import mpmath as mp
-    with mp.workdps(50):
-        def descending(poly):
-            return [mp.mpf(cf.numerator) / mp.mpf(cf.denominator)
-                    for cf in reversed(poly.coefficients)]
-
-        def horner(coeffs, z):
-            acc = mp.mpc(0)
-            for cf in coeffs:
-                acc = acc * z + cf
-            return acc
-
-        num_c, den_c = descending(R.numerator), descending(R.denominator)
-        total = mp.mpc(0)
-        for k in range(nodes):
-            z = radius * mp.expjpi(mp.mpf(2 * k) / nodes)
-            total += z * horner(num_c, z) / horner(den_c, z)
-        contour = complex(total / nodes)   # (1/2pi i) oint = mean of z f(z)
+    z = radius * np.exp(2j * np.pi * np.arange(RESIDUE_NODES)
+                        / RESIDUE_NODES)
+    num_z = np.polyval(R.numerator.as_float_coeffs()[::-1], z)
+    den_z = np.polyval(R.denominator.as_float_coeffs()[::-1], z)
+    # (1/2pi i) oint f = mean of z f(z) over the nodes
+    contour = complex(np.mean(z * num_z / den_z))
     return {"exact": exact, "quadrature": contour,
             "agreement": abs(contour - float(exact)),
             "radius": radius}

@@ -2,6 +2,12 @@
 invariant preservation, gate identities, exact polynomial identities,
 special-function oracles, and the reported-only discrepancy records."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -186,9 +192,11 @@ class TestExactIdentities:
     def test_residues(self, polys):
         p = polys["polys"]
         r1 = special.residue_at_origin(RationalFunction(p["b_q"], p["r_q"]))
-        assert r1["exact"] == 1 and r1["agreement"] <= 1e-10
+        assert r1["exact"] == 1 and r1["agreement"] <= 1e-12
         r2 = special.residue_at_origin(RationalFunction(p["b_p"], p["r_p"]))
-        assert r2["exact"] * 4 == 1 and r2["agreement"] <= 1e-10
+        assert r2["exact"] * 4 == 1 and r2["agreement"] <= 1e-12
+        r3 = special.residue_at_origin(RationalFunction(p["b_Q"], p["r_Q"]))
+        assert r3["exact"] * 32 == -1 and r3["agreement"] <= 1e-12
 
     def test_weight_integral(self, polys):
         val = special.gauss_chebyshev_integral(polys["polys"]["b1"])
@@ -239,3 +247,21 @@ class TestDiscrepancyLedger:
         for r in full_report.records:
             if r.id in self.REQUIRED:
                 assert r.status not in ("pass", "fail")
+
+
+def test_verify_runs_without_mpmath():
+    # a None entry in sys.modules makes any import of mpmath raise
+    prelude = ("import sys; sys.modules['mpmath'] = None; "
+               "from qbrach.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude, "verify", "--suite", "all",
+         "--seed", "42", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)["records"]
+    assert records
+    assert not [r["id"] for r in records if r["status"] == "fail"]

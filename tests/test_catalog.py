@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import catalog
+from qbrach import brach, catalog
 from qbrach.matcore import ValidationError, expm_h
 
 
@@ -231,6 +231,35 @@ class TestFamilies:
         assert np.trace(fam.H0 @ fam.H0).real == pytest.approx(2.0)
         # driver/constraint trace-orthogonality is enforced on build
         assert fam.problem.dim == n
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_flow_structure_classes(self, n):
+        # (some term writes a driver coordinate, some term writes a
+        # constraint coordinate) of each kind's projected flow
+        expected = {"diagonal": (False, True),
+                    "antidiagonal": (False, n > 2),
+                    "tridiagonal": (True, n >= 4)}
+        for kind, writes in expected.items():
+            problem = catalog.family_sun(n, kind).problem
+            k, nd = problem._terms[0], len(problem._driver)
+            assert (bool(np.any(k < nd)), bool(np.any(k >= nd))) == writes, \
+                kind
+
+    @pytest.mark.parametrize("kind", ["diagonal", "antidiagonal"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_constant_hamiltonian_kinds_match_exact_state(self, n, kind):
+        # dh = 0: H stays H0 and psi(t) = e^{-i H0 t} psi0
+        fam = catalog.family_sun(n, kind)
+        nd = len(fam.problem._driver)
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[0] = 1.0
+        samples = list(brach.integrate(fam.problem, fam.H0, fam.F0, psi0,
+                                       1.0, dt=1e-3, record_every=100))
+        assert len(samples) == 11
+        for s in samples:
+            assert np.array_equal(s.y[:nd], samples[0].y[:nd])
+            exact = expm_h(fam.H0, s.t) @ psi0
+            assert np.max(np.abs(s.psi - exact)) <= 1e-12
 
     def test_seed_reproducible(self):
         a = catalog.family_sun(3, "antidiagonal", seed=7)

@@ -1,4 +1,6 @@
 import csv
+import inspect
+import itertools
 import json
 
 import numpy as np
@@ -44,6 +46,47 @@ class TestExitCodes:
         assert run_cli(["run", "--scenario", scenario, "--param", param,
                         "--t-max", "0.01"]) == 65
         assert "bad parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, param", [
+        ("so3", "eps=nan"), ("so3", "eps=inf"), ("so3", "n_z=-inf"),
+        ("so3", "eps=1e200"), ("su2", "eps0=1e200"), ("su2", "Omega=1e200"),
+        ("frenet", "C=1e300"), ("frenet", "A=1e200"), ("frenet", "N=1e200"),
+        ("dirac", "xi1=nan"), ("su4-heisenberg", "lambda_x=1e200"),
+        ("su3-geodesic", "R=1e300")])
+    # numpy warns while a builder computes with a value it then rejects
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_out_of_range_param_rejected_before_any_row(self, scenario,
+                                                        param, capsys):
+        # each of these once wrote NaN or inf rows, or died with an
+        # OverflowError traceback
+        assert run_cli(["run", "--scenario", scenario, "--param", param,
+                        "--t-max", "0.1", "--dt", "1e-2"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad parameters" in err
+
+    @pytest.mark.parametrize("scenario", sorted(catalog.SCENARIO_BUILDERS))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_extreme_params_rejected_or_finite(self, scenario, capsys):
+        # every numeric parameter at a non-finite or overflowing value
+        # either exits 65 with no row or writes finite rows only
+        builder = catalog.SCENARIO_BUILDERS[scenario]
+        names = [p for p in inspect.signature(builder).parameters
+                 if p != "seed"]
+        for name, value in itertools.product(
+                names, ("nan", "inf", "-inf", "1e200", "-1e300")):
+            code = run_cli(["run", "--scenario", scenario, "--param",
+                            f"{name}={value}", "--t-max", "0.1",
+                            "--dt", "1e-2"])
+            out = capsys.readouterr().out
+            assert code in (0, 65), (name, value)
+            if code == 65:
+                assert out == "", (name, value)
+            else:
+                rows = np.array([line.split(",")
+                                 for line in out.splitlines()[1:]],
+                                dtype=float)
+                assert rows.size and np.all(np.isfinite(rows)), (name, value)
 
 
 def _must_not_run(*args, **kwargs):

@@ -254,12 +254,19 @@ class TestResidues:
         rep = sp.residue_at_origin(RationalFunction(Polynomial([1]),
                                                     Polynomial([0, 1])))
         assert rep["exact"] == 1
-        assert rep["agreement"] < 1e-10
+        assert rep["radius"] == 2.0
+        assert rep["agreement"] <= 1e-12
 
     def test_quadrature_agreement(self):
+        # double-precision contour on a radius set by the poles
         p = sp.ell_polys()["polys"]
-        rep = sp.residue_at_origin(RationalFunction(p["b_q"], p["r_q"]))
-        assert rep["agreement"] < 1e-10
+        for num, den, radius in (
+                ("b_q", "r_q", 2.0),                    # order 8, no other
+                ("b_p", "r_p", 0.5),                    # nearest other at i
+                ("b_Q", "r_Q", 0.5)):
+            rep = sp.residue_at_origin(RationalFunction(p[num], p[den]))
+            assert rep["radius"] == radius, num
+            assert rep["agreement"] <= 1e-12, num
 
     def test_radius_shrinks(self):
         # pole at 0.05 forces the contour inside radius 0.025
@@ -267,6 +274,19 @@ class TestResidues:
         rep = sp.residue_at_origin(RationalFunction(Polynomial([1]), den))
         assert rep["radius"] <= 0.025 + 1e-12
         assert rep["exact"] == -20
+        assert rep["agreement"] <= 1e-12
+
+    def test_radius_capped_far_from_other_poles(self):
+        den = Polynomial([0, 1]) * Polynomial([-10, 1])
+        rep = sp.residue_at_origin(RationalFunction(Polynomial([1]), den))
+        assert rep["radius"] == 2.0
+        assert rep["exact"] == Fraction(-1, 10)
+        assert rep["agreement"] <= 1e-12
+
+    def test_coincident_poles_rejected(self):
+        den = Polynomial([0, 1]) * Polynomial([Fraction(-1, 10**14), 1])
+        with pytest.raises(ValidationError, match="cannot separate"):
+            sp.residue_at_origin(RationalFunction(Polynomial([1]), den))
 
 
 class TestWeighted:
