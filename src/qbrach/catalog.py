@@ -348,7 +348,7 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
     theta_computed = float(np.angle(1j * np.exp(1j * phi) * np.conj(kappa)))
     if theta is not None:
         dev = abs(np.exp(1j * theta) - np.exp(1j * theta_computed))
-        if dev > 1e-8:
+        if not dev <= 1e-8:   # NaN-safe
             raise ValidationError(
                 "theta inconsistent with arg(eps1(0)) and arg(kappa): "
                 f"expected {theta_computed:.12f}")
@@ -672,12 +672,11 @@ def _rk4_path(flow, y, n_steps, dt):
 
 
 def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
-    """Grid search for recurrence of H(t) to H(0), with local refinement.
+    """Grid search for recurrence of H(t) to H(0), located as a root.
 
     ys is the stored coarse path of the coordinates (h, f), row s at time
-    s * dt.  Its grid (dt=1e-3) cannot itself resolve a recurrence to 1e-6
-    (the trajectory crosses H0 at finite speed), so each candidate minimum
-    at step s is refined at smaller steps from the stored row s - 2.
+    s * dt.  Its grid cannot itself resolve a recurrence to 1e-6, so each
+    candidate minimum at step s is located between grid points.
     """
     n_steps, y0 = len(ys) - 1, ys[0]
     dists = _h_distances(problem, ys, y0)
@@ -691,35 +690,35 @@ def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
     for s in range(int(moved) + 1, n_steps):
         if dists[s] < 1e-2 and dists[s] <= dists[s - 1] and \
                 (s == n_steps - 1 or dists[s] <= dists[s + 1]):
-            t_ref, d_ref = _refine_recurrence(
-                problem, ys[s - 2], (s - 2) * dt, float(dists[s - 2]), dt, y0)
-            if d_ref < 1e-6:
-                return "periodic", t_ref, max_exc
+            period = _recurrence_near(problem, ys, s, dt)
+            if period is not None:
+                return "periodic", period, max_exc
     return "neither", None, max_exc
 
 
-def _refine_recurrence(problem, y, t, d, dt, y0):
-    """Two-stage step refinement of a candidate recurrence.
+def _recurrence_near(problem, ys, s, dt) -> Optional[float]:
+    """Time T of the recurrence of H to H0 near coarse step s, or None.
 
-    The window starts at time t from coordinates y, at distance d from H0.
-    The first pass covers four coarse steps at dt/50, the second one coarse
-    step at dt/2500, starting 25 fine steps before the first pass's minimum.
-    Returns the time and distance of the closest approach found.
+    In the orthonormal driver basis |H(t) - H0|^2 = |h(t) - h0|^2, so the
+    closest approach is a root of g(t) = (h(t) - h0) . dh/dt.  It is
+    bisected on [(s-1) dt, (s+1) dt] until the bracket stops shrinking,
+    with y(t) one RK4 substep of length t - j dt from stored row j.  It is a
+    recurrence if g goes from negative to positive and |H(T) - H0| < 1e-6.
     """
-    t_best, d_best = t, d
-    dt_fine, span = dt / 50.0, 4 * dt
-    for _ in range(2):
-        ys = _rk4_path(problem.flow, y, int(round(span / dt_fine)),
-                       dt_fine)
-        dists = _h_distances(problem, ys[1:], y0)
-        i = int(np.argmin(dists))
-        if dists[i] < d_best:
-            d_best, t_best = float(dists[i]), t + (i + 1) * dt_fine
-        # narrow onto the minimum for the second pass
-        skip = max(i - 25, 0)
-        y, t = ys[skip], t + skip * dt_fine
-        span, dt_fine = 50 * dt_fine, dt_fine / 50.0
-    return t_best, d_best
+    nd = problem._driver.shape[0]
+
+    def g(t):
+        j = int(t // dt)
+        y = rk4_step(problem.flow, ys[j], t - j * dt)
+        return (y[:nd] - ys[0, :nd]) @ problem.flow(y)[:nd], y
+
+    a, b = (s - 1) * dt, (s + 1) * dt
+    if not g(a)[0] < 0 < g(b)[0]:
+        return None
+    while a < (m := 0.5 * (a + b)) < b:
+        a, b = (m, b) if g(m)[0] < 0 else (a, m)
+    y_T = g(b)[1]
+    return b if _h_distances(problem, y_T[None], ys[0])[0] < 1e-6 else None
 
 
 def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,

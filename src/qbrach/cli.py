@@ -70,7 +70,9 @@ def _parse_params(pairs) -> dict:
         if "=" not in item:
             raise ValidationError(f"--param expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        out[key] = _parse_value(val)
+        value = out[key] = _parse_value(val)
+        if isinstance(value, (float, complex)) and not np.isfinite(value):
+            raise ValidationError(f"{key} is not finite")
     return out
 
 
@@ -255,10 +257,15 @@ def cmd_run(args) -> int:
         print(f"drift abort: {exc}", file=sys.stderr)
         return EXIT_DRIFT
     # ValidationError is a ValueError; a malformed --param value raises a
-    # plain ValueError inside a builder, and one too large for float
-    # arithmetic an OverflowError
-    except (ValueError, TypeError, OverflowError) as exc:
+    # plain ValueError inside a builder
+    except (ValueError, TypeError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    # the grid is checked, so only an --param can be too large for float
+    # arithmetic
+    except OverflowError as exc:
+        print(f"bad parameters: float overflow with "
+              f"{', '.join(args.param or ())} ({exc})", file=sys.stderr)
         return EXIT_BAD_PARAMS
     log.info("wrote %d samples for scenario %s", n_rows, args.scenario)
     return EXIT_OK

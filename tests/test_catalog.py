@@ -20,6 +20,19 @@ def _pair2_path(t_max, dt, f_scale=1.0):
                                             int(round(t_max / dt)), dt)
 
 
+def _clock(hdot, t_max, dt):
+    """A flow whose driver coordinates h follow dh/dt = hdot(t), integrated
+    from h = 0: the state is (h, t) and H = diag(h), so |H - H0| is
+    max |h - h0|.  Returns the flow's problem and its coarse path."""
+    nd = len(hdot(0.0))
+    problem = SimpleNamespace(_driver=np.array([np.diag(e)
+                                                for e in np.eye(nd)]),
+                              dim=nd,
+                              flow=lambda y: np.append(hdot(y[-1]), 1.0))
+    return problem, catalog._rk4_path(problem.flow, np.zeros(nd + 1),
+                                      int(round(t_max / dt)), dt)
+
+
 class TestValidation:
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_scenario_self_consistent(self, name, builder):
@@ -176,8 +189,10 @@ class TestGeodesic:
         assert abs(scn.params["eps1_0"]) == pytest.approx(2.0)
 
     def test_rejects_inconsistent_theta(self):
-        with pytest.raises(ValidationError):
-            catalog.scenario_su3_geodesic(1.0, 1 / np.sqrt(3), theta=1.0)
+        for theta in (1.0, np.nan):
+            with pytest.raises(ValidationError):
+                catalog.scenario_su3_geodesic(1.0, 1 / np.sqrt(3),
+                                              theta=theta)
 
 
 class TestFrenet:
@@ -286,18 +301,37 @@ class TestPartitions:
         by_index = {r.index: r for r in results}
         assert by_index[2].classification == "periodic"
         assert by_index[2].period == pytest.approx(2 * np.pi * np.sqrt(3),
-                                                   abs=1e-4)
+                                                   abs=1e-10)
         assert by_index[3].classification == "periodic"
-        assert by_index[3].period == pytest.approx(14.2283, abs=1e-3)
+        assert by_index[3].period == pytest.approx(14.2283276, abs=1e-7)
 
     def test_recurrence_on_first_step_of_a_hundred(self):
-        # at this dt pair 2's period 2 pi sqrt(3) falls at coarse step 10000,
-        # and the refinement must still cover the two steps before it
+        # at this dt pair 2's period 2 pi sqrt(3) falls just before coarse
+        # step 10000, whose bracket starts on the stored row 9999
         dt = 2 * np.pi * np.sqrt(3) / 9999.7
         problem, ys = _pair2_path(12.0, dt)
         cls, period, _ = catalog._classify_flow(problem, ys, dt)
         assert cls == "periodic"
-        assert period == pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-6)
+        assert period == pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", [42, 7, 1001])
+    def test_structural_classes(self, seed):
+        # (some term writes a driver coordinate, some term writes a
+        # constraint coordinate): pairs 1 and 4 have dh = 0, so H stays H0
+        # exactly; pair 2 has df = 0, so H(t) = e^{iF0 t} H0 e^{-iF0 t}
+        # recurs at 2 pi / (smallest eigenvalue gap of F0); pair 3 has both
+        results = catalog.su3_partitions(t_max=11.0, dt=2e-3, seed=seed)
+        writes = []
+        for r in results:
+            k, nd = r.problem._terms[0], len(r.problem._driver)
+            writes.append((bool(np.any(k < nd)), bool(np.any(k >= nd))))
+        assert writes == [(False, True), (True, False), (True, True),
+                          (False, True)]
+        assert results[0].max_excursion == 0.0
+        assert results[3].max_excursion == 0.0
+        gaps = np.diff(np.linalg.eigvalsh(results[1].F0))
+        assert results[1].period == pytest.approx(
+            2 * np.pi / np.min(gaps[gaps > 1e-12]), abs=1e-10)
 
     @pytest.mark.parametrize("seed", [42, 1001])
     def test_batched_path_matches_each_pair_alone(self, seed, monkeypatch):
@@ -320,15 +354,17 @@ class TestPartitions:
                                       15000, 1e-3)
             np.testing.assert_allclose(ys, alone, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("d_ref,classification",
+    @pytest.mark.parametrize("miss,classification",
                              [(1e-4, "neither"), (1e-7, "periodic")])
-    def test_refined_distance_decides_recurrence(self, d_ref, classification,
-                                                 monkeypatch):
-        # a candidate counts only if refinement brings H within 1e-6 of H0
-        monkeypatch.setattr(catalog, "_refine_recurrence",
-                            lambda problem, y, t, d, dt, y0: (t, d_ref))
-        problem, ys = _pair2_path(12.0, 2e-3)
-        assert catalog._classify_flow(problem, ys, 2e-3)[0] == classification
+    def test_refined_distance_decides_recurrence(self, miss, classification):
+        # h = (sin pi t, miss t) crosses back past h0 at t = 1 at distance
+        # miss: the root there counts only if H is within 1e-6 of H0
+        problem, ys = _clock(lambda t: [np.pi * np.cos(np.pi * t), miss],
+                             1.2, 1e-3)
+        cls, period, _ = catalog._classify_flow(problem, ys, 1e-3)
+        assert cls == classification
+        if cls == "periodic":
+            assert period == pytest.approx(1.0, abs=1e-12)
 
     def test_small_excursion_is_not_constant(self):
         # with F scaled down H drifts slowly: it moves, so it is not
@@ -338,34 +374,26 @@ class TestPartitions:
         assert 1e-10 < max_exc < 1e-3
         assert (cls, period) == ("neither", None)
 
-    def test_recurrence_counts_once_five_percent_away(self, monkeypatch):
-        # distance profile: a small loop (10 % of the largest excursion) back
-        # to H0 at step 100, then the largest excursion, never back below 0.5
-        s = np.arange(401)
-        dists = np.where(s <= 100, 0.1 * np.sin(np.pi * s / 100),
-                         0.5 + 0.5 * np.sin(np.pi * (s - 100) / 300))
-        monkeypatch.setattr(catalog, "_h_distances", lambda *_: dists)
-        monkeypatch.setattr(catalog, "_refine_recurrence",
-                            lambda problem, y, t, d, dt, y0: (t, 0.0))
-        cls, period, _ = catalog._classify_flow(None, np.zeros((401, 8)), 1e-3)
+    def test_recurrence_counts_once_five_percent_away(self):
+        # h = 0.1 sin(10 pi t) makes a small loop (10 % of the largest
+        # excursion) back through h0 at t = 0.1, then h = -sin(pi (t - 0.1))
+        # makes the largest excursion, to -1 at t = 0.6
+        def hdot(t):
+            return np.pi * (np.cos(10 * np.pi * t) if t <= 0.1
+                            else -np.cos(np.pi * (t - 0.1)))
+
+        problem, ys = _clock(lambda t: [hdot(t)], 0.6, 1e-3)
+        cls, period, max_exc = catalog._classify_flow(problem, ys, 1e-3)
+        assert max_exc == pytest.approx(1.0)
         assert cls == "periodic"
-        assert period == pytest.approx(98e-3)
+        assert period == pytest.approx(0.1, abs=1e-12)
 
-    def test_second_refinement_covers_both_sides(self, monkeypatch):
-        # the first pass (step dt/50) finds a broad minimum at 100 of its
-        # steps and steps over a narrow, deeper one at 84.5 steps; the second
-        # pass spans 25 first-pass steps each side of 100 and must find it
-        dt_fine = 1e-3 / 50
-        t_broad, t_narrow = 100 * dt_fine, 84.5 * dt_fine
-
-        def dists(problem, ys, y_ref):
-            t = ys[:, 0]
-            return np.minimum(5e-3 + 10 * np.abs(t - t_broad),
-                              1e3 * np.abs(t - t_narrow))
-
-        monkeypatch.setattr(catalog, "_h_distances", dists)
-        clock = SimpleNamespace(flow=np.ones_like)  # coordinate = time
-        t_best, d_best = catalog._refine_recurrence(
-            clock, np.zeros(1), 0.0, 1.0, 1e-3, np.zeros(1))
-        assert t_best == pytest.approx(t_narrow, abs=1e-9)
-        assert d_best < 1e-6
+    def test_candidate_without_sign_change_is_rejected(self):
+        # h = 1 - cos(2 pi t / P) is still closing on h0 when the grid ends
+        # at t = 1 < P: g < 0 across the last candidate's bracket, so it is
+        # no recurrence, although H at the grid's end is within 1e-6 of H0
+        w = 2 * np.pi / 1.0001
+        problem, ys = _clock(lambda t: [w * np.sin(w * t)], 1.0, 1e-3)
+        assert catalog._h_distances(problem, ys[-1:], ys[0])[0] < 1e-6
+        cls, period, _ = catalog._classify_flow(problem, ys, 1e-3)
+        assert (cls, period) == ("neither", None)

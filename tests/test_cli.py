@@ -2,6 +2,7 @@ import csv
 import inspect
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -66,19 +67,23 @@ class TestExitCodes:
         assert "bad parameters" in err
 
     @pytest.mark.parametrize("scenario", sorted(catalog.SCENARIO_BUILDERS))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_extreme_params_rejected_or_finite(self, scenario, capsys):
-        # every numeric parameter at a non-finite or overflowing value
-        # either exits 65 with no row or writes finite rows only
+        # every numeric parameter at a non-finite value exits 65 before its
+        # builder computes (so numpy warns of nothing); at an overflowing
+        # value it either exits 65 with no row or writes finite rows only
         builder = catalog.SCENARIO_BUILDERS[scenario]
         names = [p for p in inspect.signature(builder).parameters
                  if p != "seed"]
         for name, value in itertools.product(
                 names, ("nan", "inf", "-inf", "1e200", "-1e300")):
-            code = run_cli(["run", "--scenario", scenario, "--param",
-                            f"{name}={value}", "--t-max", "0.1",
-                            "--dt", "1e-2"])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli(["run", "--scenario", scenario, "--param",
+                                f"{name}={value}", "--t-max", "0.1",
+                                "--dt", "1e-2"])
             out = capsys.readouterr().out
+            if value in ("nan", "inf", "-inf"):
+                assert (code, caught) == (65, []), (name, value)
             assert code in (0, 65), (name, value)
             if code == 65:
                 assert out == "", (name, value)
@@ -87,6 +92,28 @@ class TestExitCodes:
                                  for line in out.splitlines()[1:]],
                                 dtype=float)
                 assert rows.size and np.all(np.isfinite(rows)), (name, value)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "nanj", "1+infj",
+                                       "inf-1j"])
+    def test_non_finite_param_rejected_before_builder(self, value,
+                                                      monkeypatch, capsys):
+        # a NaN or infinite real or imaginary part is named and rejected
+        # before any builder runs (theta=nan once passed su3-geodesic's
+        # consistency check and wrote rows)
+        monkeypatch.setitem(catalog.SCENARIO_BUILDERS, "su3-geodesic",
+                            _must_not_run)
+        assert run_cli(["run", "--scenario", "su3-geodesic", "--param",
+                        f"theta={value}", "--t-max", "0.1"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad parameters: theta is not finite" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_names_the_param(self, capsys):
+        assert run_cli(["run", "--scenario", "so3", "--param", "n_z=0.5",
+                        "--param", "eps=1e200", "--t-max", "0.1"]) == 65
+        err = capsys.readouterr().err
+        assert "bad parameters: float overflow with n_z=0.5, eps=1e200" in err
 
 
 def _must_not_run(*args, **kwargs):
