@@ -116,7 +116,8 @@ class Scenario:
             if at is None:
                 continue
             M = check_hermitian(at(0.0))
-            with np.errstate(over="ignore"):
+            # an overflowing entry times a zero one is NaN inside the trace
+            with np.errstate(over="ignore", invalid="ignore"):
                 if not np.isfinite(trace_inner(M, M)):
                     raise ValidationError(
                         f"{self.name}: Tr M^2 of H(0) or F(0) overflows")

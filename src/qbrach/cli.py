@@ -121,7 +121,8 @@ def _scenario_rows(scn, t_max: float, dt: float):
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     """Integrate one randomized control family; each row is written from
-    one of brach.integrate's samples as it is made."""
+    one of brach.integrate's samples as it is yielded (integrate gates
+    them a block of at most 256 steps at a time)."""
     n = params.pop("n", 3)
     if not isinstance(n, int):
         raise ValidationError(f"sun-family n must be an integer, got {n!r}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach import brach, catalog
-from qbrach.matcore import ValidationError, commutator
+from qbrach.matcore import ValidationError, commutator, expm_h
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -21,6 +21,71 @@ def su2_problem():
 
 
 KINDS = ("antidiagonal", "tridiagonal", "diagonal")
+
+
+def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
+    """integrate's samples made one at a time, each invariant by its own
+    numpy call on one state; raises DriftAbort as integrate does."""
+    n, nd = problem.dim, len(problem._driver)
+    y0 = problem.coefficients(H0, F0)
+    m = len(y0)
+    terms = brach._joined([problem._terms, brach._psi_terms(problem, m)])
+    X = problem._cross_gram
+    B = np.concatenate([problem._driver, problem._constraint]).reshape(m, -1)
+    trH2_0 = float(y0[:nd] @ y0[:nd])
+    trH2_scale = max(abs(trH2_0), 1e-30)
+    eig0 = np.linalg.eigvalsh((y0 @ B).reshape(n, n))
+    eig_scale = max(np.max(np.abs(eig0)), 1e-30)
+    n_steps = max(int(round(t_max / dt)), 1)
+
+    def sample(step, z):
+        y, w = z[:m], z[m:]
+        h = y[:nd]
+        trH2 = float(h @ h)
+        trHF = float(h @ X @ y[nd:])
+        norm = math.sqrt(w @ w)
+        G = (y @ B).reshape(n, n)
+        eig_d = (float(np.abs(np.linalg.eigvalsh(G) - eig0).max()) / eig_scale
+                 if np.isfinite(G).all() else math.inf)
+        s = brach.Sample(step, step * dt, y.copy(), w.view(complex).copy(),
+                         trH2, trHF, norm, abs(norm - 1.0),
+                         abs(trH2 - trH2_0) / trH2_scale, abs(trHF), eig_d)
+        if not all(d <= brach.DRIFT_ABORT for d in s[-4:]):
+            raise brach.DriftAbort(
+                f"invariant drift beyond {brach.DRIFT_ABORT:g} at t={s.t:.6f}",
+                {"t": s.t, "step": step, **dict(zip(brach._DRIFTS, s[-4:]))})
+        return s
+
+    z = np.concatenate([y0, np.asarray(psi0, dtype=complex).view(float)])
+    yield sample(0, z)
+    for step in range(1, n_steps + 1):
+        z = brach.rk4_step(lambda v: brach._bilinear(terms, v), z, dt)
+        w = z[m:]
+        nrm = math.sqrt(w @ w)
+        if abs(nrm - 1.0) > brach.RENORM_THRESHOLD:
+            w /= nrm
+        if step % record_every == 0 or step == n_steps:
+            yield sample(step, z)
+
+
+def collect(samples):
+    """The samples a generator yields, and the DriftAbort it ends with (or
+    None)."""
+    got = []
+    try:
+        for s in samples:
+            got.append(s)
+    except brach.DriftAbort as exc:
+        return got, exc
+    return got, None
+
+
+def assert_samples_equal(got, want):
+    assert [s.step for s in got] == [s.step for s in want]
+    for g, w in zip(got, want):
+        assert g.t == w.t
+        assert np.array_equal(g.y, w.y) and np.array_equal(g.psi, w.psi)
+        assert np.array_equal(g[4:], w[4:]), g.step
 
 
 class TestControlProblem:
@@ -178,10 +243,12 @@ class TestEvolve:
         # dt = 10 overflows the state long before the only recorded sample
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"), \
+        with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(brach.DriftAbort) as info:
+            warnings.simplefilter("always")
             brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 10000.0, dt=10.0,
                          record_every=1000)
+        assert caught == []
         diag = info.value.diagnostics
         assert diag["step"] == 1000
         assert not np.isfinite(diag["eigenvalue_drift"])
@@ -200,6 +267,20 @@ class TestEvolve:
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert abs(np.log2(e1 / e2) - 4.0) < 0.3
+
+    def test_convergence_order_four_against_exact_state(self):
+        # dh = 0 for the antidiagonal kind, so psi(t) = e^{-i H0 t} psi0
+        # exactly (a diagonal H0 would only turn the phase of this psi0)
+        fam = catalog.family_sun(4, "antidiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        exact = expm_h(fam.H0, 2.0) @ psi0
+        errors = [np.max(np.abs(brach.evolve(fam.problem, fam.H0, fam.F0,
+                                             psi0, 2.0, dt=dt,
+                                             record_every=10**6).psis[-1]
+                                - exact))
+                  for dt in (0.1, 0.05, 0.025)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all(np.abs(orders - 4.0) < 0.3), orders
 
 
 class TestIntegrate:
@@ -270,6 +351,52 @@ class TestIntegrate:
         psi0 = np.array([1, 0, 0], dtype=complex)
         traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.3, dt=0.3)
         assert 1e-5 < traj.eigenvalue_drift[-1] < brach.DRIFT_ABORT
+
+
+class TestBlockGate:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_samples_match_the_per_sample_reference(self, n, record_every):
+        # 600 steps: step 0, then blocks 1-256, 257-512 and 513-600
+        fam = catalog.family_sun(n, "tridiagonal")
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[0] = 1.0
+        args = (fam.problem, fam.H0, fam.F0, psi0, 0.6, 1e-3, record_every)
+        assert 600 > 2 * brach.SAMPLE_BLOCK
+        got = list(brach.integrate(*args))
+        want = list(reference_samples(*args))
+        assert got[-1].step == 600
+        assert_samples_equal(got, want)
+
+    def test_abort_inside_a_block(self):
+        # at dt 0.3 the spectrum of H + F first drifts past 1e-4 at step 5,
+        # in the middle of the first block of steps
+        fam = catalog.family_sun(3, "diagonal")
+        psi0 = np.array([1, 0, 0], dtype=complex)
+        args = (fam.problem, fam.H0, fam.F0, psi0, 300.0, 0.3, 1)
+        got, abort = collect(brach.integrate(*args))
+        want, ref_abort = collect(reference_samples(*args))
+        assert ref_abort is not None and ref_abort.diagnostics["step"] == 5
+        assert_samples_equal(got, want)
+        assert str(abort) == str(ref_abort)
+        assert abort.diagnostics == ref_abort.diagnostics
+
+    @pytest.mark.parametrize("kind, dt", [("tridiagonal", 10.0),
+                                          ("antidiagonal", 50.0)])
+    def test_overflowing_block_aborts_at_its_first_sample(self, kind, dt):
+        # the state overflows within the block, after the sample at step 1
+        # has drifted: no LinAlgError from the non-finite rows and no numpy
+        # warning from stepping or gating them (at antidiagonal dt 50 the
+        # gate's products meet inf * 0)
+        fam = catalog.family_sun(4, kind)
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, abort = collect(brach.integrate(fam.problem, fam.H0, fam.F0,
+                                                 psi0, 1000 * dt, dt, 1))
+        assert caught == []
+        assert [s.step for s in got] == [0]
+        assert abort is not None and abort.diagnostics["step"] == 1
 
 
 class TestSu2Vector:

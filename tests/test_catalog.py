@@ -276,6 +276,27 @@ class TestFamilies:
             exact = expm_h(fam.H0, s.t) @ psi0
             assert np.max(np.abs(s.psi - exact)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_constraint_kinds_match_exact_solution(self, n):
+        # df = 0 for tridiagonal at n = 2 and 3: F stays F0,
+        # H(t) = e^{i F0 t} H0 e^{-i F0 t} and psi(t) = U(t) psi0 with U
+        # the co-rotating-frame propagator e^{i F0 t} e^{-i (H0 + F0) t}
+        fam = catalog.family_sun(n, "tridiagonal")
+        nd = len(fam.problem._driver)
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[0] = 1.0
+        propagator = catalog._frame_propagator(fam.F0, fam.H0)
+        samples = list(brach.integrate(fam.problem, fam.H0, fam.F0, psi0,
+                                       1.0, dt=1e-3, record_every=100))
+        assert len(samples) == 11
+        for s in samples:
+            assert np.array_equal(s.y[nd:], samples[0].y[nd:])
+            H, _ = fam.problem.matrices(s.y)
+            exact_H = expm_h(fam.F0, -s.t) @ fam.H0 @ expm_h(fam.F0, s.t)
+            assert np.max(np.abs(H - exact_H)) <= 1e-12
+            exact_psi = propagator(s.t) @ psi0
+            assert np.max(np.abs(s.psi - exact_psi)) <= 1e-12
+
     def test_seed_reproducible(self):
         a = catalog.family_sun(3, "antidiagonal", seed=7)
         b = catalog.family_sun(3, "antidiagonal", seed=7)
