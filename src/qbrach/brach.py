@@ -39,26 +39,31 @@ def _orthonormalize(basis: Sequence[np.ndarray], dim: int, label: str,
                     warn_tol: float = 1e-10) -> np.ndarray:
     """Gram-Schmidt under the trace inner product Tr(A B); returns a stack.
 
-    For Hermitian E and A, Tr(E A) = sum(conj(E) * A), so each element is
-    projected against the stacked orthonormal set in one product.
+    The elements are checked as one stack.  For Hermitian E and A,
+    Tr(E A) = sum(conj(E) * A), so each element is projected against the
+    stacked orthonormal set in one product.
     """
-    out = np.empty((len(basis), dim * dim), dtype=complex)
-    adjusted = False
-    for k, B in enumerate(basis):
-        A = check_hermitian(B)
-        if A.shape != (dim, dim):
-            raise ValidationError(f"{label} basis element is not {dim}x{dim}")
-        if abs(np.trace(A)) > 1e-10:
-            raise ValidationError(f"{label} basis element not traceless")
-        a = A.reshape(-1)
+    if len(basis) == 0:
+        return np.empty((0, dim, dim), dtype=complex)
+    try:
+        A = np.asarray(basis, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{label} basis elements are not matrices "
+                              "of one shape") from exc
+    if A.shape[1:] != (dim, dim):
+        raise ValidationError(f"{label} basis element is not {dim}x{dim}")
+    A = check_hermitian(A, stack=True)
+    if np.any(np.abs(np.trace(A, axis1=1, axis2=2)) > 1e-10):
+        raise ValidationError(f"{label} basis element not traceless")
+    A = A.reshape(len(A), dim * dim)
+    out = np.empty_like(A)
+    for k, a in enumerate(A):
         a = a - (out[:k].conj() @ a).real @ out[:k]
         nrm = np.linalg.norm(a)
         if nrm < 1e-12:
             raise ValidationError(f"{label} basis is linearly dependent")
         out[k] = a / nrm
-        if np.max(np.abs(out[k] - A.reshape(-1))) > warn_tol:
-            adjusted = True
-    if adjusted:
+    if np.max(np.abs(out - A)) > warn_tol:
         warnings.warn(f"{label} basis was not orthonormal under Tr(A B); "
                       "Gram-Schmidt applied", stacklevel=3)
     return out.reshape(-1, dim, dim)
@@ -71,7 +76,14 @@ def _bilinear(terms, z) -> np.ndarray:
     return np.bincount(k, v * z[a] * z[b], len(z))
 
 
-def _joined(parts):
+def _joined(systems):
+    """One term list for several bilinear systems stepped as one flat state
+    z: systems holds (terms, size) pairs, and each system's terms are
+    shifted to its offset in z (the sum of the sizes before it)."""
+    parts, offset = [], 0
+    for (k, a, b, v), size in systems:
+        parts.append((k + offset, a + offset, b + offset, v))
+        offset += size
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -154,12 +166,8 @@ class ControlProblem:
 def joint_flow(problems: Sequence[ControlProblem]):
     """dz/dt of several problems' flows stepped as one flat state: z holds
     each problem's coordinates (h, f) in turn."""
-    parts, offset = [], 0
-    for p in problems:
-        k, a, b, v = p._terms
-        parts.append((k + offset, a + offset, b + offset, v))
-        offset += len(p._driver) + len(p._constraint)
-    terms = _joined(parts)
+    terms = _joined([(p._terms, len(p._driver) + len(p._constraint))
+                     for p in problems])
     return lambda z: _bilinear(terms, z)
 
 
@@ -244,39 +252,16 @@ def _psi_terms(problem: ControlProblem, offset: int):
     return offset + i, a, offset + j, R[a, i, j]
 
 
-def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
-              dt: float = 1e-4, record_every: int = 1):
-    """Fixed-step RK4 on the joint system (psi, H, F), yielding samples.
+def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
+    """One checked run (problem, H0, F0, psi0) of the stepping core.
 
-    Returns a generator of Samples: step 0, every record_every-th step and
-    the last step of round(t_max / dt) (at least one).  H and F are stepped
-    in their subspace coordinates, so they stay in their subspaces exactly;
-    psi is stepped alongside, its interleaved (Re, Im) parts appended to
-    (h, f) in one state z.  Both parts of the flow are bilinear in z, so
-    one term list holds them: the problem's flow terms and those of
-    dpsi = -i H psi.  psi is renormalized if its norm drifts beyond 1e-12.
-
-    Step 0 is gated before the first step; after it the steps run in blocks
-    of SAMPLE_BLOCK, and each block's recorded states are gated together
-    (one stacked eigvalsh for the spectra) before its samples are yielded.
-    So a sample lags the state by at most SAMPLE_BLOCK steps.
-
-    t_max and dt must be positive with t_max / dt finite, record_every a
-    positive integer, and H0 and F0 must lie in their subspaces to 1e-8;
-    bad input raises ValidationError here, before the first sample.
-    Raises DriftAbort at a sample where any tracked invariant (norm,
-    Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not finite,
-    after yielding every sample before it; a state that overflows aborts
-    there without a numpy warning.
+    Returns its initial state z0 = (h, f, psi), psi as interleaved (Re, Im)
+    pairs; its terms on z0's positions (the problem's flow terms and those
+    of dpsi = -i H psi); the position m where psi starts; and gate, which
+    takes the recorded rows of its states and returns their Samples.
+    H0 and F0 must lie in their subspaces to 1e-8; bad input raises
+    ValidationError.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if not (t_max > 0 and math.isfinite(t_max / dt)):
-        raise ValidationError(
-            f"t_max must be positive with t_max / dt finite, got {t_max!r}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ValidationError(
-            f"record_every must be a positive integer, got {record_every!r}")
     H, F = check_hermitian(H0), check_hermitian(F0)
     psi = check_state(psi0)
     brach_rhs(H, F, problem)  # validate subspace membership at t=0
@@ -284,7 +269,9 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     n, nd = problem.dim, problem._driver.shape[0]
     y0 = problem.coefficients(H, F)
     m = y0.shape[0]
-    terms = _joined([problem._terms, _psi_terms(problem, m)])
+    z0 = np.concatenate([y0, psi.view(float)])
+    terms = tuple(map(np.concatenate,
+                      zip(problem._terms, _psi_terms(problem, m))))
     X = problem._cross_gram
     # G = H + F = y . B, the isospectral object: dG/dt = -i [G, F]
     B = np.concatenate([problem._driver, problem._constraint]).reshape(m, -1)
@@ -292,16 +279,11 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     trH2_scale = max(abs(trH2_0), 1e-30)
     eig0 = np.linalg.eigvalsh((y0 @ B).reshape(n, n))
     eig_scale = max(np.max(np.abs(eig0)), 1e-30)
-    n_steps = max(int(round(t_max / dt)), 1)
 
-    def rhs(z):
-        return _bilinear(terms, z)
-
-    def gate(steps, zs):
-        """The Samples of the recorded states zs (at steps), in order, up
-        to the first whose drifts are not all in range; raises DriftAbort
-        there."""
-        Z = np.array(zs)
+    def gate(steps, Z):
+        """The Samples of the recorded states Z (one row per step), in
+        order, up to the first whose drifts are not all in range, and the
+        DriftAbort there (None if there is none)."""
         Y, W = Z[:, :m], Z[:, m:]
         h, f = Y[:, None, :nd], Y[:, nd:, None]
         # each stacked product does per row what h @ h, h @ X @ f, w @ w
@@ -324,17 +306,71 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
         ok = (drifts <= DRIFT_ABORT).all(axis=1).tolist()
         values = np.column_stack([trH2, trHF, norm, drifts]).tolist()
         psis = np.ascontiguousarray(W).view(complex)
+        samples = []
         for step, y, psi, v, good in zip(steps, Y, psis, values, ok):
             s = Sample(step, step * dt, y, psi, *v)
             if not good:
-                raise DriftAbort(
+                return samples, DriftAbort(
                     f"invariant drift beyond {DRIFT_ABORT:g} at t={s.t:.6f}",
                     {"t": s.t, "step": step, **dict(zip(_DRIFTS, s[-4:]))})
-            yield s
+            samples.append(s)
+        return samples, None
 
-    def samples():
-        z = np.concatenate([y0, psi.view(float)])
-        yield from gate([0], [z])
+    return z0, terms, m, gate
+
+
+def _stepping(runs, t_max: float, dt: float, record_every: int):
+    """The stepping core: fixed-step RK4 on the runs (problem, H0, F0, psi0)
+    as one flat state, each run's (h, f, psi) at its offset.
+
+    Checks the grid and every run's input (ValidationError) at call time,
+    then returns a generator of blocks: step 0, then the steps in blocks of
+    SAMPLE_BLOCK; each block is one list of Samples per run.  A run's terms
+    write only its own part of the state, and each run's psi is renormalized
+    and its rows gated on its own part, so every run's samples are the ones
+    it gets when stepped alone.  If runs abort, the samples before the
+    earliest abort step are yielded and that run's DriftAbort is raised
+    (the first such run on a tie).
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    if not (t_max > 0 and math.isfinite(t_max / dt)):
+        raise ValidationError(
+            f"t_max must be positive with t_max / dt finite, got {t_max!r}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValidationError(
+            f"record_every must be a positive integer, got {record_every!r}")
+    if not runs:
+        raise ValidationError("no runs to step")
+    members = [_member(*run, dt) for run in runs]
+    terms = _joined([(t, len(z0)) for z0, t, _, _ in members])
+    cols, psi_parts, lo = [], [], 0
+    for z0, _, m, _ in members:
+        cols.append(slice(lo, lo + len(z0)))
+        psi_parts.append((lo + m, lo + len(z0)))
+        lo += len(z0)
+    n_steps = max(int(round(t_max / dt)), 1)
+
+    def rhs(z):
+        return _bilinear(terms, z)
+
+    def gated(steps, zs):
+        Z = np.array(zs)
+        # a run's columns are copied whole, so its gate sees the layout of
+        # a run stepped alone (no copy when there is one run)
+        results = [gate(steps, np.ascontiguousarray(Z[:, c]))
+                   for (_, _, _, gate), c in zip(members, cols)]
+        aborts = [(len(samples), i)
+                  for i, (samples, abort) in enumerate(results)
+                  if abort is not None]
+        k, first = min(aborts, default=(len(steps), None))
+        yield [samples[:k] for samples, _ in results]
+        if first is not None:
+            raise results[first][1]
+
+    def blocks():
+        z = np.concatenate([z0 for z0, _, _, _ in members])
+        yield from gated([0], [z])
         for start in range(1, n_steps + 1, SAMPLE_BLOCK):
             steps, zs = [], []
             # no yield in here: the error state would leak to the consumer
@@ -342,31 +378,82 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
                 for step in range(start, min(start + SAMPLE_BLOCK,
                                              n_steps + 1)):
                     z = rk4_step(rhs, z, dt)
-                    w = z[m:]
-                    nrm = math.sqrt(w @ w)
-                    if abs(nrm - 1.0) > RENORM_THRESHOLD:
-                        w /= nrm
+                    for lo, hi in psi_parts:
+                        w = z[lo:hi]
+                        nrm = math.sqrt(w @ w)
+                        if abs(nrm - 1.0) > RENORM_THRESHOLD:
+                            w /= nrm
                     if step % record_every == 0 or step == n_steps:
                         steps.append(step)
                         zs.append(z)
             if steps:
-                yield from gate(steps, zs)
+                yield from gated(steps, zs)
 
-    return samples()
+    return blocks()
+
+
+def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
+              dt: float = 1e-4, record_every: int = 1):
+    """Fixed-step RK4 on the joint system (psi, H, F), yielding samples:
+    the stepping core's one-run case.
+
+    Returns a generator of Samples: step 0, every record_every-th step and
+    the last step of round(t_max / dt) (at least one).  H and F are stepped
+    in their subspace coordinates, so they stay in their subspaces exactly;
+    psi is stepped alongside, its interleaved (Re, Im) parts appended to
+    (h, f) in one state z.  Both parts of the flow are bilinear in z, so
+    one term list holds them: the problem's flow terms and those of
+    dpsi = -i H psi.  psi is renormalized if its norm drifts beyond 1e-12.
+
+    Step 0 is gated before the first step; after it the steps run in blocks
+    of SAMPLE_BLOCK, and each block's recorded states are gated together
+    (one stacked eigvalsh for the spectra) before its samples are yielded.
+    So a sample lags the state by at most SAMPLE_BLOCK steps.
+
+    t_max and dt must be positive with t_max / dt finite, record_every a
+    positive integer, and H0 and F0 must lie in their subspaces to 1e-8;
+    bad input raises ValidationError here, before the first sample.
+    Raises DriftAbort at a sample where any tracked invariant (norm,
+    Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not finite,
+    after yielding every sample before it; a state that overflows aborts
+    there without a numpy warning.
+    """
+    blocks = _stepping([(problem, H0, F0, psi0)], t_max, dt, record_every)
+    return (s for (samples,) in blocks for s in samples)
+
+
+def evolve_joint(runs, t_max: float, dt: float = 1e-4,
+                 record_every: int = 1) -> list[Trajectory]:
+    """One Trajectory per run (problem, H0, F0, psi0), the runs stepped
+    together on one grid as one flat state.
+
+    Each Trajectory equals the run's own evolve to the bit.  Every run's
+    input is checked before the first step; if runs abort, the DriftAbort
+    is the one of the run that aborts at the earliest step (the first such
+    run on a tie), as its own evolve raises it.  Each block's samples are
+    turned into columns as it comes, so no more than a block of Samples is
+    held.
+    """
+    names = ("t", "y", "psi", *_DRIFTS)
+    blocks = [[] for _ in runs]
+    for block in _stepping(runs, t_max, dt, record_every):
+        for columns, samples in zip(blocks, block):
+            columns.append([np.array([getattr(s, name) for s in samples])
+                            for name in names])
+    trajectories = []
+    for (problem, *_), columns in zip(runs, blocks):
+        t, y, psi, *drifts = map(np.concatenate, zip(*columns))
+        trajectories.append(Trajectory(t, *problem.matrices(y), psi,
+                                       *drifts))
+    return trajectories
 
 
 def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
            dt: float = 1e-4, record_every: int = 1) -> Trajectory:
     """integrate's samples collected into a Trajectory (same arguments,
-    checks and DriftAbort)."""
-    samples = list(integrate(problem, H0, F0, psi0, t_max, dt, record_every))
-    Hs, Fs = problem.matrices(np.array([s.y for s in samples]))
-
-    def column(name):
-        return np.array([getattr(s, name) for s in samples])
-
-    return Trajectory(column("t"), Hs, Fs, column("psi"),
-                      *map(column, _DRIFTS))
+    checks and DriftAbort): evolve_joint's one-run case."""
+    return evolve_joint([(problem, H0, F0, psi0)], t_max, dt,
+                        record_every)[0]
 
 
 # --- SU(2) multivector form -------------------------------------------------

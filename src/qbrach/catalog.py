@@ -18,7 +18,7 @@ import numpy as np
 
 from .matcore import (ValidationError, check_hermitian, hermitian_eig,
                       ordered_exponential, trace_inner)
-from .brach import ControlProblem, evolve, joint_flow, rk4_step
+from .brach import ControlProblem, evolve_joint, joint_flow, rk4_step
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -810,19 +810,46 @@ class ValidationReport:
         return self.max_deviation() <= tol
 
 
-def validate(scenario: Scenario) -> ValidationReport:
-    """Cross-check a scenario's analytic data against the integrator.
+def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
+    """Cross-check each scenario's analytic data against the integrator.
 
     Compares (a) the analytic propagator against the step-ordered exponential
     of the analytic H(t), (b) analytic H(t)/psi(t) against the
     brachistochrone integrator where a ControlProblem is attached,
     (c) quantization residuals at the claimed minimum time.  Both numerical
     references step at dt = 1e-3; the closed forms are sampled at 100 times
-    over one period.
+    over one period.  The integrations of (b) run over min(period, 2) and
+    are stepped together, one evolve_joint call for each such time; each
+    trajectory is the one its scenario gets alone.
     """
-    T = scenario.period or 1.0
-    grid = np.linspace(0.0, T, 100)
     dt = 1e-3
+    devs, runs = [], {}
+    for scenario in scenarios:
+        T = scenario.period or 1.0
+        devs.append(_closed_form_deviations(scenario, T, dt))
+        if scenario.problem is not None:
+            runs.setdefault(min(T, 2.0), []).append((scenario, devs[-1]))
+    for t_evo, group in runs.items():
+        trajs = evolve_joint([_integrator_run(scn) for scn, _ in group],
+                             t_evo, dt=dt, record_every=10)
+        for (scn, dev), traj in zip(group, trajs):
+            dev["integrator_H"] = float(np.max(np.abs(
+                traj.Hs - scn.hamiltonian_at(traj.times))))
+            dev["integrator_state"] = float(np.max(np.abs(
+                traj.psis - scn.state_at(traj.times))))
+    return [ValidationReport(scenario=scn.name, deviations=dev,
+                             diagnostics=_min_time_diagnostics(scn))
+            for scn, dev in zip(scenarios, devs)]
+
+
+def validate(scenario: Scenario) -> ValidationReport:
+    """validate_all of the one scenario."""
+    return validate_all([scenario])[0]
+
+
+def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
+    """Checks (a) of validate_all on the grid of 100 times over [0, T]."""
+    grid = np.linspace(0.0, T, 100)
     h = 1e-6
     dev = {}
 
@@ -844,21 +871,22 @@ def validate(scenario: Scenario) -> ValidationReport:
     U_num = ordered_exponential(scenario.hamiltonian_at, t_ord, dt)
     dev["ordered_exponential"] = float(
         np.max(np.abs(U_num - scenario.propagator_at(t_ord))))
+    return dev
 
-    if scenario.problem is not None:
-        F0 = (scenario.constraint_at(0.0) if scenario.constraint_at is not None
-              else np.zeros((scenario.dim, scenario.dim), dtype=complex))
-        t_evo = min(T, 2.0)
-        traj = evolve(scenario.problem, scenario.hamiltonian_at(0.0), F0,
-                      scenario.psi0, t_evo, dt=dt, record_every=10)
-        dev["integrator_H"] = float(np.max(np.abs(
-            traj.Hs - scenario.hamiltonian_at(traj.times))))
-        dev["integrator_state"] = float(np.max(np.abs(
-            traj.psis - scenario.state_at(traj.times))))
 
-    # minimum-time claims hold only on the quantization locus of the
-    # parameters, so they are reported as diagnostics rather than folded
-    # into the pass/fail deviation maximum
+def _integrator_run(scenario: Scenario) -> tuple:
+    """(problem, H0, F0, psi0) of the scenario; F0 is zero if it has no
+    constraint."""
+    F0 = (scenario.constraint_at(0.0) if scenario.constraint_at is not None
+          else np.zeros((scenario.dim, scenario.dim), dtype=complex))
+    return (scenario.problem, scenario.hamiltonian_at(0.0), F0,
+            scenario.psi0)
+
+
+def _min_time_diagnostics(scenario: Scenario) -> dict:
+    """Checks (c) of validate_all.  Minimum-time claims hold only on the
+    quantization locus of the parameters, so they are reported as
+    diagnostics rather than folded into the pass/fail deviation maximum."""
     diag = {}
     if scenario.min_time is not None and scenario.quantization:
         for i, (desc, fn) in enumerate(scenario.quantization):
@@ -867,9 +895,7 @@ def validate(scenario: Scenario) -> ValidationReport:
         psiT = scenario.state_at(scenario.min_time)
         diag["transfer_infidelity"] = float(
             1.0 - abs(np.vdot(scenario.target, psiT)) ** 2)
-
-    return ValidationReport(scenario=scenario.name, deviations=dev,
-                            diagnostics=diag)
+    return diag
 
 
 SCENARIO_BUILDERS = {

@@ -305,9 +305,10 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
 
 def verify_catalog(seed: int = 42) -> ReportEnvelope:
     env = ReportEnvelope(suite="catalog")
-    for name, builder in catalog.SCENARIO_BUILDERS.items():
-        scn = builder() if name != "su4-heisenberg" else builder(seed=seed)
-        rep = catalog.validate(scn)
+    builders = catalog.SCENARIO_BUILDERS
+    scenarios = [builder() if name != "su4-heisenberg" else builder(seed=seed)
+                 for name, builder in builders.items()]
+    for name, rep in zip(builders, catalog.validate_all(scenarios)):
         env.add(f"scenario-{name}", rep.max_deviation(), 1e-6)
     # printed minimum-time claim for the two-spin scenario: pi/lambda_x,
     # versus the verified maximal-entanglement time pi/(8 lambda_x)

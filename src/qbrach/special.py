@@ -654,10 +654,12 @@ def bessel_inner_product_probe(m: int = 2, n: int = 2,
                                nodes: int = 20001) -> dict:
     """Quadrature of \\int_{-pi}^{pi} J_m(v) J_n(v) dv against the printed
     value delta_mn / (2 pi^2), which is dimensionally inconsistent; the
-    residual is reported only."""
+    residual is reported only.  J takes 64 quadrature nodes, enough on
+    |v| <= pi (bessel_J's default 512 is sized for |r| <= 50)."""
     v = np.linspace(-np.pi, np.pi, nodes)
-    jm = bessel_J(m, v)
-    jn = jm if n == m else bessel_J(n, v)
+    # |v| <= pi: 64 nodes alias by less than |J_32(pi)| ~ 7e-30 for |m| <= 32
+    jm = bessel_J(m, v, 64)
+    jn = jm if n == m else bessel_J(n, v, 64)
     val = float(np.trapezoid(jm * jn, v))
     printed = (1.0 / (2 * np.pi**2)) if m == n else 0.0
     return {"quadrature": val, "printed": printed,

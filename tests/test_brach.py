@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach import brach, catalog
-from qbrach.matcore import ValidationError, commutator, expm_h
+from qbrach.matcore import (ValidationError, check_hermitian,
+                            commutator, expm_h)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -29,7 +30,8 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
     n, nd = problem.dim, len(problem._driver)
     y0 = problem.coefficients(H0, F0)
     m = len(y0)
-    terms = brach._joined([problem._terms, brach._psi_terms(problem, m)])
+    terms = tuple(map(np.concatenate,
+                      zip(problem._terms, brach._psi_terms(problem, m))))
     X = problem._cross_gram
     B = np.concatenate([problem._driver, problem._constraint]).reshape(m, -1)
     trH2_0 = float(y0[:nd] @ y0[:nd])
@@ -397,6 +399,162 @@ class TestBlockGate:
         assert caught == []
         assert [s.step for s in got] == [0]
         assert abort is not None and abort.diagnostics["step"] == 1
+
+
+def unit_state(n):
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    return psi0
+
+
+def family_run(n, kind):
+    fam = catalog.family_sun(n, kind)
+    return fam.problem, fam.H0, fam.F0, unit_state(n)
+
+
+def own_abort(run, t_max, dt):
+    with pytest.raises(brach.DriftAbort) as info:
+        brach.evolve(*run, t_max, dt)
+    return info.value
+
+
+class TestEvolveJoint:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_mixed_members_match_each_evolve(self, record_every):
+        # members of n = 2, 3, 4 and 5; 600 steps: step 0, then blocks
+        # 1-256, 257-512 and 513-600
+        runs = [catalog._integrator_run(build()) for build in (
+            catalog.scenario_su2, catalog.scenario_su3_geodesic,
+            catalog.scenario_su4_heisenberg)] + [family_run(5, "tridiagonal")]
+        joint = brach.evolve_joint(runs, 0.6, 1e-3, record_every)
+        assert len(joint) == len(runs)
+        for run, got in zip(runs, joint):
+            want = brach.evolve(*run, 0.6, 1e-3, record_every)
+            for name in brach.Trajectory.__dataclass_fields__:
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+
+    def test_diverging_member_raises_its_own_abort(self):
+        # su2 and so3 stay in range at dt 10; n=4 tridiagonal overflows
+        runs = [catalog._integrator_run(catalog.scenario_su2()),
+                catalog._integrator_run(catalog.scenario_so3()),
+                family_run(4, "tridiagonal")]
+        want = own_abort(runs[2], 10000.0, 10.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(brach.DriftAbort) as info:
+                brach.evolve_joint(runs, 10000.0, 10.0)
+        assert caught == []
+        assert str(info.value) == str(want)
+        assert info.value.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("order, winner", [
+        # own abort steps at dt 0.3: 5, 6 and 3
+        ((("diagonal", 3), ("antidiagonal", 4), ("tridiagonal", 5)), 2),
+        # both abort at step 1 at dt 10: the first member wins the tie
+        ((("tridiagonal", 4), ("antidiagonal", 4)), 0),
+        ((("antidiagonal", 4), ("tridiagonal", 4)), 0)])
+    def test_earliest_abort_wins(self, order, winner):
+        dt = 0.3 if len(order) == 3 else 10.0
+        runs = [family_run(n, kind) for kind, n in order]
+        aborts = [own_abort(run, 1000 * dt, dt) for run in runs]
+        with pytest.raises(brach.DriftAbort) as info:
+            brach.evolve_joint(runs, 1000 * dt, dt)
+        assert str(info.value) == str(aborts[winner])
+        assert info.value.diagnostics == aborts[winner].diagnostics
+        assert info.value.diagnostics["step"] == min(
+            a.diagnostics["step"] for a in aborts)
+
+    @pytest.mark.parametrize("bad", ["nan_psi", "h0_outside"])
+    def test_bad_member_raises_before_any_step(self, bad, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("stepped before checking every member")
+
+        monkeypatch.setattr(brach, "rk4_step", no_step)
+        problem, H0, F0, psi0 = family_run(4, "tridiagonal")
+        if bad == "nan_psi":
+            psi0 = np.array([np.nan, 0, 0, 0], dtype=complex)
+        else:
+            H0 = H0 + F0
+        runs = [family_run(5, "tridiagonal"), (problem, H0, F0, psi0)]
+        with pytest.raises(ValidationError):
+            brach.evolve_joint(runs, 1.0, 1e-3)
+
+    def test_no_runs(self):
+        with pytest.raises(ValidationError, match="no runs"):
+            brach.evolve_joint([], 1.0, 1e-3)
+
+
+def reference_orthonormalize(basis, dim, label, warn_tol=1e-10):
+    """_orthonormalize one element at a time: each element's checks, its
+    projection and its normalization in turn."""
+    out = np.empty((len(basis), dim * dim), dtype=complex)
+    adjusted = False
+    for k, B in enumerate(basis):
+        A = check_hermitian(B)
+        if A.shape != (dim, dim):
+            raise ValidationError(f"{label} basis element is not {dim}x{dim}")
+        if abs(np.trace(A)) > 1e-10:
+            raise ValidationError(f"{label} basis element not traceless")
+        a = A.reshape(-1)
+        a = a - (out[:k].conj() @ a).real @ out[:k]
+        nrm = np.linalg.norm(a)
+        if nrm < 1e-12:
+            raise ValidationError(f"{label} basis is linearly dependent")
+        out[k] = a / nrm
+        if np.max(np.abs(out[k] - A.reshape(-1))) > warn_tol:
+            adjusted = True
+    if adjusted:
+        warnings.warn(f"{label} basis was not orthonormal under Tr(A B); "
+                      "Gram-Schmidt applied")
+    return out.reshape(-1, dim, dim)
+
+
+def every_problem():
+    for n in range(2, 9):
+        for kind in KINDS:
+            yield f"su{n}-{kind}", catalog.family_sun(n, kind).problem
+    for name, builder in catalog.SCENARIO_BUILDERS.items():
+        problem = builder().problem
+        if problem is not None:
+            yield name, problem
+    for r in catalog.su3_partitions(t_max=1e-3, dt=1e-3):
+        yield f"census-pair-{r.index}", r.problem
+
+
+class TestOrthonormalize:
+    @pytest.mark.parametrize("name, problem", list(every_problem()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_the_per_element_loop(self, name, problem):
+        for basis in (problem.driver_basis, problem.constraint_basis):
+            got = brach._orthonormalize(basis, problem.dim, name)
+            want = reference_orthonormalize(basis, problem.dim, name)
+            assert np.array_equal(got, want)
+
+    def test_non_orthonormal_basis_matches_the_per_element_loop(self):
+        basis = [SX, SX + SY, SZ + 0.5 * SX]
+        with pytest.warns(UserWarning):
+            got = brach._orthonormalize(basis, 2, "driver")
+        with pytest.warns(UserWarning):
+            want = reference_orthonormalize(basis, 2, "driver")
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("basis", [
+        [SX, np.eye(3)],                       # ragged
+        [SX, SY, SZ, SX],                      # dependent
+        [SX, np.array([[0, 1], [0, 0]])],      # not Hermitian
+        [SX, np.eye(2)],                       # not traceless
+        [SX, np.array([[np.nan, 0], [0, 0]])],  # not finite
+        [np.eye(3) - np.diag([0, 0, 3])],      # not 2x2
+        [np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)],  # not matrices
+        [SX, None],
+    ])
+    def test_bad_basis_raises_validation_error(self, basis):
+        with pytest.raises(ValidationError):
+            brach._orthonormalize(basis, 2, "driver")
+
+    def test_empty_basis(self):
+        assert brach._orthonormalize([], 3, "constraint").shape == (0, 3, 3)
 
 
 class TestSu2Vector:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import brach, catalog
+from qbrach import brach, catalog, report
 from qbrach.matcore import ValidationError, expm_h
 
 
@@ -55,6 +55,53 @@ class TestValidation:
     def test_minimum_time_diagnostics_off_locus(self):
         diag = catalog.validate(catalog.scenario_su2(1.0, 0.7)).diagnostics
         assert diag["quantization_0"] > 0.1
+
+
+def _seeded(seed):
+    return [builder() if name != "su4-heisenberg" else builder(seed=seed)
+            for name, builder in ALL_BUILDERS]
+
+
+class TestValidateAll:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_verify_catalog_matches_one_scenario_at_a_time(self, seed,
+                                                           monkeypatch):
+        joint = report.verify_catalog(seed=seed).records
+        # validate(scn) is validate_all([scn])[0]: the original, one
+        # scenario per call
+        validate_all = catalog.validate_all
+        monkeypatch.setattr(catalog, "validate_all", lambda scenarios: [
+            validate_all([scn])[0] for scn in scenarios])
+        assert report.verify_catalog(seed=seed).records == joint
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_reports_match_each_validate(self, seed, monkeypatch):
+        # su4-heisenberg at lambda_x 2 has period pi/2 < 2, so its
+        # integration runs over its period, in a second group
+        scenarios = _seeded(seed) + [
+            catalog.scenario_su4_heisenberg(2.0, seed=seed)]
+        solo = [catalog.validate(scn) for scn in scenarios]
+        groups = []
+        evolve_joint = catalog.evolve_joint
+
+        def spy(runs, t_max, **kwargs):
+            groups.append((t_max, len(runs)))
+            return evolve_joint(runs, t_max, **kwargs)
+
+        monkeypatch.setattr(catalog, "evolve_joint", spy)
+        reports = catalog.validate_all(scenarios)
+        assert groups == [(2.0, 6), (np.pi / 2, 1)]
+        assert [r.scenario for r in reports] == [s.scenario for s in solo]
+        for got, want in zip(reports, solo):
+            assert got.deviations == want.deviations
+            assert list(got.deviations) == list(want.deviations)
+            assert got.diagnostics == want.diagnostics
+        assert "integrator_H" not in reports[-2].deviations    # dirac
+
+    def test_deterministic(self):
+        scenarios = _seeded(42)
+        assert catalog.validate_all(scenarios) == \
+            catalog.validate_all(scenarios)
 
 
 # scenario, constant frame generator A with H(t) = e^{iAt} H(0) e^{-iAt}

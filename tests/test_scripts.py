@@ -1,6 +1,8 @@
 """The example scripts run as programs: exit status 0 and the line layout
 they document."""
 
+import collections
+import json
 import os
 import pathlib
 import re
@@ -44,3 +46,17 @@ def test_minimum_time_transfer():
                   if "fidelity" in line]
     assert len(fidelities) == 3
     assert min(fidelities) > 0.9999999
+
+
+def test_identity_report():
+    # the section counts are the golden ledger's status counts, which hold
+    # at every seed
+    ledger = json.loads((ROOT / "tests" / "golden"
+                         / "verify-ledger.json").read_text())
+    counts = collections.Counter(r["status"] for r in ledger)
+    lines = run_script("identity_report.py")
+    heads = [line for line in lines if line.startswith("--- ")]
+    assert heads == [f"--- {status} ({counts[status]}) ---"
+                     for status in ("pass", "fail", "reported-only")
+                     if counts[status]]
+    assert len(lines) == len(heads) + len(ledger)

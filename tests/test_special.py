@@ -319,5 +319,13 @@ class TestProbes:
     def test_bessel_inner_product_mismatch(self):
         assert sp.bessel_inner_product_probe()["residual"] > 0.1
 
+    @pytest.mark.parametrize("m", range(-4, 9))
+    def test_bessel_probe_nodes_suffice_on_its_range(self, m):
+        # the probe takes J from 64 nodes on v in [-pi, pi]; there they
+        # agree with bessel_J's default 512 to round-off
+        v = np.linspace(-np.pi, np.pi, 20001)
+        assert np.max(np.abs(sp.bessel_J(m, v, 64) - sp.bessel_J(m, v))) \
+            <= 1e-15
+
     def test_sec_tan_mismatch(self):
         assert sp.sec_tan_identity_probe()["residual"] > 0.1
