@@ -36,8 +36,11 @@ def as_matrix(M, stack: bool = False) -> np.ndarray:
 
 def check_hermitian(M, stack: bool = False) -> np.ndarray:
     """A finite Hermitian matrix, or with stack=True a stack (..., d, d)
-    of them checked at once (the error names the worst deviation)."""
+    of them checked at once (the error names the worst deviation).  An
+    empty stack has no entries to check and is returned as it is."""
     A = as_matrix(M, stack)
+    if not A.size:
+        return A
     dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)))
     if dev > HERM_TOL:
         raise ValidationError(f"matrix not Hermitian: max |M - M^dag| = {dev:.3e}")

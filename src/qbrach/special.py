@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brach import rk4_step
 from .matcore import ValidationError
 
 
@@ -170,6 +169,29 @@ def fd_derivative(f: Callable[[float], complex], x: float, order: int,
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre_unit(nodes: int, panels: int = 1) -> tuple:
+    """Composite Gauss-Legendre rule on [0, 1]: `panels` equal panels of
+    `nodes` nodes each, built once per shape and returned read-only."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    left = np.arange(panels)[:, None] / panels
+    x = (left + 0.5 * (t + 1.0) / panels).reshape(-1)
+    w = np.tile(0.5 * w / panels, panels)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_legendre(f: Callable, a: float, b: float, nodes: int,
+                    panels: int = 1) -> float:
+    """\\int_a^b f by the composite Gauss-Legendre rule; f takes an array."""
+    x, w = _gauss_legendre_unit(nodes, panels)
+    return (b - a) * np.sum(w * f(a + (b - a) * x))
+
+
+# ---------------------------------------------------------------------------
 # Chebyshev polynomials
 # ---------------------------------------------------------------------------
 
@@ -267,29 +289,46 @@ def greens_spinwave(dq: int, t: float, nodes: int = 1024) -> complex:
     return complex(np.mean(vals))
 
 
-def spinwave_lattice_oracle(t: float, n_sites: int = 201,
-                            dt: float = 1e-3) -> np.ndarray:
-    """RK4 evolution of a single excitation on an open chain with the
-    hopping Hamiltonian H|n> = 2|n> - |n+1> - |n-1| (A = 1).
+LATTICE_SITES = 201    # open chain, the excitation starts at the center
+LATTICE_DT = 1e-3      # nominal RK4 step of the lattice oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice_modes() -> tuple:
+    """Eigenvalues and eigenvectors of the chain's hopping matrix
+    A = 2 - (shift up) - (shift down), one eigh built once and returned
+    read-only."""
+    A = (2.0 * np.eye(LATTICE_SITES) - np.eye(LATTICE_SITES, k=1)
+         - np.eye(LATTICE_SITES, k=-1))
+    w, V = np.linalg.eigh(A)
+    w.flags.writeable = V.flags.writeable = False
+    return w, V
+
+
+def spinwave_lattice_oracle(t: float) -> np.ndarray:
+    """RK4 evolution of a single excitation on an open chain of
+    LATTICE_SITES sites with the hopping Hamiltonian
+    H|n> = 2|n> - |n+1> - |n-1> (A = 1).
 
     Returns the amplitude vector C(t) with the excitation initially at
-    the center site.
+    the center site: the RK4 iterate C_N = R(-ihA)^N C_0 of
+    N = round(t / LATTICE_DT) steps of h = t/N, where
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's amplification on a
+    linear system.  It is evaluated in the eigenbasis of A, each mode's
+    factor raised to the N-th power, instead of by N steps.
     """
-    n = n_sites
-    C = np.zeros(n, dtype=complex)
-    C[n // 2] = 1.0
-
-    def rhs(C):
-        out = 2.0 * C
-        out[:-1] -= C[1:]
-        out[1:] -= C[:-1]
-        return -1j * out
-
-    steps = int(round(t / dt))
-    h = t / steps if steps else dt
-    for _ in range(steps):
-        C = rk4_step(rhs, C, h)
-    return C
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(
+            f"lattice oracle needs a finite t >= 0, got {t!r}")
+    C = np.zeros(LATTICE_SITES, dtype=complex)
+    C[LATTICE_SITES // 2] = 1.0
+    steps = round(t / LATTICE_DT)
+    if not steps:
+        return C
+    w, V = _lattice_modes()
+    z = -1j * (t / steps) * w
+    R = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    return V @ (R ** steps * V[LATTICE_SITES // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +498,24 @@ def laplace_cos_poly(P: Polynomial) -> RationalFunction:
     return total.reduced()
 
 
-def laplace_numeric(P: Polynomial, s: float, theta_max: float = 80.0,
-                    n: int = 400000) -> float:
-    """Brute-force quadrature of \\int_0^inf P(cos theta) e^{-s theta}."""
-    th = np.linspace(0.0, theta_max / s, n)
-    vals = P.as_float_coeffs()
-    y = np.polyval(vals[::-1], np.cos(th)) * np.exp(-s * th)
-    return float(np.trapezoid(y, th))
+LAPLACE_DECAYS = 80.0      # the quadrature stops at theta = LAPLACE_DECAYS/s
+LAPLACE_PANELS = 64
+LAPLACE_PANEL_NODES = 32
+
+
+def laplace_numeric(P: Polynomial, s: float) -> float:
+    """Quadrature of \\int_0^inf P(cos theta) e^{-s theta} on
+    [0, LAPLACE_DECAYS/s], where the dropped tail is below e^{-80} times
+    the integrand's bound, by composite Gauss-Legendre: LAPLACE_PANELS
+    equal panels of LAPLACE_PANEL_NODES nodes, so each panel spans at
+    most about 9 radians of cos(7 theta) for s >= 1 and the rule is
+    converged to round-off."""
+    vals = P.as_float_coeffs()[::-1]
+
+    def f(th):
+        return np.polyval(vals, np.cos(th)) * np.exp(-s * th)
+    return float(_gauss_legendre(f, 0.0, LAPLACE_DECAYS / s,
+                                 LAPLACE_PANEL_NODES, LAPLACE_PANELS))
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +590,12 @@ def gauss_chebyshev_integral(P: Polynomial, nodes: int = 16) -> float:
     return float(np.pi / nodes * np.sum(vals))
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre_half_turn(nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights mapped to [0, pi], built once per
-    node count and returned read-only."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * np.pi * (t + 1.0)
-    w = 0.5 * np.pi * w
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
-
-
 def weight_normalization(alpha: float, nodes: int = 200) -> tuple:
     """(numeric, exact) for \\int_{-1}^{1} (1-u^2)^{alpha/2} du
     = sqrt(pi) Gamma(alpha/2+1)/Gamma(alpha/2+3/2); numeric via the
     substitution u = cos(t)."""
-    t, w = _gauss_legendre_half_turn(nodes)
-    numeric = float(np.sum(w * np.sin(t) ** (alpha + 1)))
+    numeric = float(_gauss_legendre(lambda t: np.sin(t) ** (alpha + 1),
+                                    0.0, np.pi, nodes))
     exact = (np.sqrt(np.pi) * math.gamma(alpha / 2 + 1)
              / math.gamma(alpha / 2 + 1.5))
     return numeric, exact
@@ -633,34 +672,42 @@ def weighted_integrals() -> dict:
 # reported-only numeric probes
 # ---------------------------------------------------------------------------
 
-def sec_tan_identity_probe(a: float = 0.2, b: float = 0.9,
-                           nodes: int = 200001) -> dict:
+PROBE_NODES = 64     # Gauss-Legendre nodes of the two reported-only probes
+
+
+def sec_tan_identity_probe(a: float = 0.2, b: float = 0.9) -> dict:
     """Numeric evaluation of the printed identity
     \\int_a^b sec z (1 + tan z) dz =
     \\int_{sec a}^{sec b} dy/sqrt(y^2-1) + i(sec b - sec a)
     on a pole-free real interval; the imaginary term makes the printed
     right side complex while the left side is real, so the residual is
-    reported only."""
-    z = np.linspace(a, b, nodes)
-    lhs = np.trapezoid(1 / np.cos(z) * (1 + np.tan(z)), z)
-    y = np.linspace(1 / np.cos(a), 1 / np.cos(b), nodes)
-    rhs = (np.trapezoid(1 / np.sqrt(y * y - 1), y)
-           + 1j * (1 / np.cos(b) - 1 / np.cos(a)))
+    reported only.  Both integrals take PROBE_NODES Gauss-Legendre nodes
+    (the integrands are analytic on the intervals; for the defaults the
+    nearest singularity, y = 1, is far enough off [sec a, sec b] that the
+    rule is converged to round-off)."""
+    lhs = _gauss_legendre(lambda z: 1 / np.cos(z) * (1 + np.tan(z)),
+                          a, b, PROBE_NODES)
+    sec_a, sec_b = 1 / np.cos(a), 1 / np.cos(b)
+    rhs = (_gauss_legendre(lambda y: 1 / np.sqrt(y * y - 1),
+                           sec_a, sec_b, PROBE_NODES)
+           + 1j * (sec_b - sec_a))
     return {"lhs": float(lhs), "rhs": complex(rhs),
             "residual": abs(lhs - rhs)}
 
 
-def bessel_inner_product_probe(m: int = 2, n: int = 2,
-                               nodes: int = 20001) -> dict:
+def bessel_inner_product_probe(m: int = 2, n: int = 2) -> dict:
     """Quadrature of \\int_{-pi}^{pi} J_m(v) J_n(v) dv against the printed
     value delta_mn / (2 pi^2), which is dimensionally inconsistent; the
-    residual is reported only.  J takes 64 quadrature nodes, enough on
-    |v| <= pi (bessel_J's default 512 is sized for |r| <= 50)."""
-    v = np.linspace(-np.pi, np.pi, nodes)
-    # |v| <= pi: 64 nodes alias by less than |J_32(pi)| ~ 7e-30 for |m| <= 32
-    jm = bessel_J(m, v, 64)
-    jn = jm if n == m else bessel_J(n, v, 64)
-    val = float(np.trapezoid(jm * jn, v))
+    residual is reported only.  The integrand is entire, so PROBE_NODES
+    Gauss-Legendre nodes converge to round-off; J takes 64 quadrature
+    nodes, enough on |v| <= pi (bessel_J's default 512 is sized for
+    |r| <= 50)."""
+    def f(v):
+        # |v| <= pi: 64 nodes alias by less than |J_32(pi)| ~ 7e-30 for
+        # |m| <= 32
+        jm = bessel_J(m, v, 64)
+        return jm * (jm if n == m else bessel_J(n, v, 64))
+    val = float(_gauss_legendre(f, -np.pi, np.pi, PROBE_NODES))
     printed = (1.0 / (2 * np.pi**2)) if m == n else 0.0
     return {"quadrature": val, "printed": printed,
             "residual": abs(val - printed)}

@@ -28,6 +28,11 @@ class TestValidation:
         with pytest.raises(mc.ValidationError):
             mc.check_hermitian([[0, 1], [2, 0]])
 
+    def test_check_hermitian_empty_stack(self):
+        empty = np.empty((0, 3, 3))
+        out = mc.check_hermitian(empty, stack=True)
+        assert out.shape == (0, 3, 3) and out.dtype == complex
+
     def test_check_state_rejects_unnormalized(self):
         with pytest.raises(mc.ValidationError):
             mc.check_state([1.0, 1.0])

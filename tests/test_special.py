@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach import special as sp
+from qbrach.brach import rk4_step
 from qbrach.matcore import ValidationError
 from qbrach.special import Polynomial, RationalFunction
 
@@ -148,6 +149,39 @@ class TestSpinwave:
         K = sp.greens_spinwave(2, t)
         assert abs(abs(C[mid + 2]) - abs(K)) < 1e-6
 
+    @pytest.mark.parametrize("t", [0.5, 3.0])
+    def test_lattice_oracle_is_rk4_iterate(self, t):
+        # the eigenbasis evaluation equals stepping the chain with rk4_step
+        n = sp.LATTICE_SITES
+        C = np.zeros(n, dtype=complex)
+        C[n // 2] = 1.0
+
+        def rhs(C):
+            out = 2.0 * C
+            out[:-1] -= C[1:]
+            out[1:] -= C[:-1]
+            return -1j * out
+
+        steps = round(t / sp.LATTICE_DT)
+        for _ in range(steps):
+            C = rk4_step(rhs, C, t / steps)
+        assert np.max(np.abs(sp.spinwave_lattice_oracle(t) - C)) <= 1e-13
+
+    def test_lattice_oracle_at_zero_is_initial_site(self):
+        C = sp.spinwave_lattice_oracle(0.0)
+        expected = np.zeros(sp.LATTICE_SITES)
+        expected[sp.LATTICE_SITES // 2] = 1.0
+        assert np.array_equal(C, expected)
+
+    def test_lattice_oracle_rejects_negative_t(self):
+        with pytest.raises(ValidationError):
+            sp.spinwave_lattice_oracle(-1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_lattice_oracle_rejects_nonfinite_t(self, t):
+        with pytest.raises(ValidationError):
+            sp.spinwave_lattice_oracle(t)
+
 
 class TestOscillator:
     def test_limit_at_one(self):
@@ -239,6 +273,13 @@ class TestLaplace:
         for s in (1.0, 2.5, 7.0):
             assert abs(L(s) - sp.laplace_numeric(q, s)) < 1e-8
 
+    @pytest.mark.parametrize("s", [1.0, 2.5, 7.0])
+    def test_quadrature_at_round_off(self, s):
+        # composite Gauss-Legendre is converged: only rounding is left
+        q = sp.ell_polys()["polys"]["q"]
+        assert abs(sp.laplace_cos_poly(q)(s) - sp.laplace_numeric(q, s)) \
+            <= 1e-13
+
 
 class TestResidues:
     def test_catalogued_values(self):
@@ -329,3 +370,21 @@ class TestProbes:
 
     def test_sec_tan_mismatch(self):
         assert sp.sec_tan_identity_probe()["residual"] > 0.1
+
+    def test_sec_tan_integrals_match_antiderivatives(self):
+        a, b = 0.2, 0.9
+        sec_a, sec_b = 1 / np.cos(a), 1 / np.cos(b)
+        rep = sp.sec_tan_identity_probe(a, b)
+        lhs = (np.log((sec_b + np.tan(b)) / (sec_a + np.tan(a)))
+               + sec_b - sec_a)
+        assert abs(rep["lhs"] - lhs) <= 1e-14
+        assert abs(rep["rhs"].real
+                   - (np.arccosh(sec_b) - np.arccosh(sec_a))) <= 1e-14
+
+    def test_bessel_probe_quadrature_converged(self):
+        # the probe's 64 Gauss-Legendre nodes against 128 of them
+        x, w = np.polynomial.legendre.leggauss(128)
+        v = np.pi * x
+        ref = np.pi * np.sum(w * sp.bessel_J(2, v, 64) ** 2)
+        assert abs(sp.bessel_inner_product_probe()["quadrature"] - ref) \
+            <= 1e-13
