@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, check_hermitian, check_state, commutator
+from .matcore import ValidationError, check_hermitian, check_state
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
@@ -35,8 +35,8 @@ class DriftAbort(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def _orthonormalize(basis: Sequence[np.ndarray], dim: int, label: str,
-                    warn_tol: float = 1e-10) -> np.ndarray:
+def _orthonormalize(basis: Sequence[np.ndarray], dim: int,
+                    label: str) -> np.ndarray:
     """Gram-Schmidt under the trace inner product Tr(A B); returns a stack.
 
     The elements are checked as one stack.  For Hermitian E and A,
@@ -63,7 +63,7 @@ def _orthonormalize(basis: Sequence[np.ndarray], dim: int, label: str,
         if nrm < 1e-12:
             raise ValidationError(f"{label} basis is linearly dependent")
         out[k] = a / nrm
-    if np.max(np.abs(out - A)) > warn_tol:
+    if np.max(np.abs(out - A)) > 1e-10:
         warnings.warn(f"{label} basis was not orthonormal under Tr(A B); "
                       "Gram-Schmidt applied", stacklevel=3)
     return out.reshape(-1, dim, dim)
@@ -99,11 +99,12 @@ class ControlProblem:
 
         dy_k = sum_ab T[k, a, b] h_a f_b,   T[k, a, b] = Re Tr(B_k (-i)[D_a, C_b])
 
-    on y = (h, f), with B = D stacked on C.  Only the nonzero entries of T
-    are kept, as the term list that flow() evaluates (see _bilinear).  The
-    subspaces hold exactly in these coordinates, so no projection is needed
-    while stepping.  Tr H^2 is |h|^2 and Tr HF is h . X . f, with
-    X[a, b] = Tr(D_a C_b) the cross-Gram matrix (zero to round-off).
+    on y = (h, f), with B = D stacked on C.  Only the entries of T above
+    round-off (1e-13) are kept, as the term list that flow() evaluates (see
+    _bilinear).  The subspaces hold exactly in these coordinates, so no
+    projection is needed while stepping.  Tr H^2 is |h|^2 and Tr HF is
+    h . X . f, with X[a, b] = Tr(D_a C_b) the cross-Gram matrix (zero to
+    round-off).
     """
 
     dim: int
@@ -134,7 +135,10 @@ class ControlProblem:
         comm -= C @ D[:, None]
         T = (Bt @ comm.reshape(nd * nc, n * n).T).imag
         T = T.reshape(nd + nc, nd, nc)
-        k, a, b = np.nonzero(T)
+        # an entry that the algebra makes zero comes out as round-off (about
+        # 4e-17 for the su(7) families), which would put a term in an empty
+        # block of the flow
+        k, a, b = np.nonzero(np.abs(T) > 1e-13)
         self._terms = (k, a, nd + b, T[k, a, b])
 
     def coefficients(self, H, F) -> np.ndarray:
@@ -190,20 +194,29 @@ class BrachRhs(NamedTuple):
     dF: np.ndarray
 
 
-def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
-    """Right-hand side of the evolution law.
-
-    C = -i[H, F] is Hermitian; the returned derivatives are its
-    trace-orthogonal projections onto the driver and constraint subspaces.
-    """
+def _coordinates(problem: ControlProblem, H, F) -> np.ndarray:
+    """y = (h, f) of the checked H and F: finite Hermitian dim x dim
+    matrices that lie in their subspaces, i.e. matrices(y) returns them to
+    1e-8.  Bad input raises ValidationError."""
     H, F = check_hermitian(H), check_hermitian(F)
-    res_H = np.max(np.abs(H - problem.project_driver(H))) if H.size else 0.0
-    res_F = np.max(np.abs(F - problem.project_constraint(F)))
+    n = problem.dim
+    if H.shape != (n, n) or F.shape != (n, n):
+        raise ValidationError(f"H and F must be {n}x{n}, got {H.shape} "
+                              f"and {F.shape}")
+    y = problem.coefficients(H, F)
+    H1, F1 = problem.matrices(y)
+    res_H, res_F = np.max(np.abs(H - H1)), np.max(np.abs(F - F1))
     if res_H > 1e-8 or res_F > 1e-8:
         raise ValidationError(
             f"H/F not in their subspaces (residuals {res_H:.3e}, {res_F:.3e})")
-    C = -1j * commutator(H, F)
-    return BrachRhs(problem.project_driver(C), problem.project_constraint(C))
+    return y
+
+
+def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
+    """Right-hand side of the evolution law, -i[H, F] projected onto the
+    driver and constraint subspaces: the problem's flow at (H, F)."""
+    y = _coordinates(problem, H, F)
+    return BrachRhs(*problem.matrices(problem.flow(y)))
 
 
 def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
@@ -215,27 +228,37 @@ def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-class Sample(NamedTuple):
-    """One recorded point of integrate: the state and its invariants.
+class Samples(NamedTuple):
+    """A block of integrate's recorded points, as columns: row i of every
+    field belongs to the block's i-th recorded step.
 
     The drift fields are the ones the gate reads and DriftAbort reports.
     """
 
-    step: int
-    t: float
-    y: np.ndarray              # coordinates (h, f) of H and F
+    step: np.ndarray
+    t: np.ndarray
+    y: np.ndarray              # coordinates (h, f) of H and F, one row each
     psi: np.ndarray
-    trH2: float                # Tr H^2 = |h|^2
-    trHF: float                # Tr HF = h . X . f
-    norm: float                # ||psi||
-    norm_drift: float
-    trH2_drift: float          # relative drift of Tr H^2
-    trHF_residual: float
-    eigenvalue_drift: float    # spectrum drift of G = H + F
+    trH2: np.ndarray           # Tr H^2 = |h|^2
+    trHF: np.ndarray           # Tr HF = h . X . f
+    norm: np.ndarray           # ||psi||
+    norm_drift: np.ndarray
+    trH2_drift: np.ndarray     # relative drift of Tr H^2
+    trHF_residual: np.ndarray
+    eigenvalue_drift: np.ndarray   # spectrum drift of G = H + F
+
+    def head(self, k: int) -> "Samples":
+        """The block's first k rows."""
+        return Samples(*(column[:k] for column in self))
+
+    @staticmethod
+    def concatenate(blocks) -> "Samples":
+        """The rows of the blocks, in order, as one block."""
+        return Samples(*map(np.concatenate, zip(*blocks)))
 
 
-# the last four fields of a Sample, in order
-_DRIFTS = Sample._fields[-4:]
+# the last four fields of Samples, in order
+_DRIFTS = Samples._fields[-4:]
 
 
 def _psi_terms(problem: ControlProblem, offset: int):
@@ -259,15 +282,15 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     pairs; its terms on z0's positions (the problem's flow terms and those
     of dpsi = -i H psi); the position m where psi starts; and gate, which
     takes the recorded rows of its states and returns their Samples.
-    H0 and F0 must lie in their subspaces to 1e-8; bad input raises
+    H0 and F0 are checked as brach_rhs checks them, and psi0 must be a
+    finite unit vector of problem.dim entries; bad input raises
     ValidationError.
     """
-    H, F = check_hermitian(H0), check_hermitian(F0)
+    y0 = _coordinates(problem, H0, F0)
     psi = check_state(psi0)
-    brach_rhs(H, F, problem)  # validate subspace membership at t=0
-
     n, nd = problem.dim, problem._driver.shape[0]
-    y0 = problem.coefficients(H, F)
+    if psi.shape != (n,):
+        raise ValidationError(f"psi0 must have {n} entries, got {psi.size}")
     m = y0.shape[0]
     z0 = np.concatenate([y0, psi.view(float)])
     terms = tuple(map(np.concatenate,
@@ -281,9 +304,9 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     eig_scale = max(np.max(np.abs(eig0)), 1e-30)
 
     def gate(steps, Z):
-        """The Samples of the recorded states Z (one row per step), in
-        order, up to the first whose drifts are not all in range, and the
-        DriftAbort there (None if there is none)."""
+        """The Samples of the recorded states Z (one row per step of
+        steps) up to the first row whose drifts are not all in range, and
+        the DriftAbort there (None if there is none)."""
         Y, W = Z[:, :m], Z[:, m:]
         h, f = Y[:, None, :nd], Y[:, nd:, None]
         # each stacked product does per row what h @ h, h @ X @ f, w @ w
@@ -302,19 +325,20 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
             drifts = np.stack([np.abs(norm - 1.0),
                                np.abs(trH2 - trH2_0) / trH2_scale,
                                np.abs(trHF), eig_d], axis=1)
+        steps = np.asarray(steps)
+        block = Samples(steps, steps * dt, Y,
+                        np.ascontiguousarray(W).view(complex), trH2, trHF,
+                        norm, *drifts.T)
         # NaN compares False, so the gate asks for every drift to be in range
-        ok = (drifts <= DRIFT_ABORT).all(axis=1).tolist()
-        values = np.column_stack([trH2, trHF, norm, drifts]).tolist()
-        psis = np.ascontiguousarray(W).view(complex)
-        samples = []
-        for step, y, psi, v, good in zip(steps, Y, psis, values, ok):
-            s = Sample(step, step * dt, y, psi, *v)
-            if not good:
-                return samples, DriftAbort(
-                    f"invariant drift beyond {DRIFT_ABORT:g} at t={s.t:.6f}",
-                    {"t": s.t, "step": step, **dict(zip(_DRIFTS, s[-4:]))})
-            samples.append(s)
-        return samples, None
+        bad = np.flatnonzero(~(drifts <= DRIFT_ABORT).all(axis=1))
+        if not bad.size:
+            return block, None
+        k = bad[0]
+        t = float(block.t[k])
+        return block.head(k), DriftAbort(
+            f"invariant drift beyond {DRIFT_ABORT:g} at t={t:.6f}",
+            {"t": t, "step": int(steps[k]),
+             **dict(zip(_DRIFTS, drifts[k].tolist()))})
 
     return z0, terms, m, gate
 
@@ -325,7 +349,7 @@ def _stepping(runs, t_max: float, dt: float, record_every: int):
 
     Checks the grid and every run's input (ValidationError) at call time,
     then returns a generator of blocks: step 0, then the steps in blocks of
-    SAMPLE_BLOCK; each block is one list of Samples per run.  A run's terms
+    SAMPLE_BLOCK; each block is one Samples per run.  A run's terms
     write only its own part of the state, and each run's psi is renormalized
     and its rows gated on its own part, so every run's samples are the ones
     it gets when stepped alone.  If runs abort, the samples before the
@@ -360,11 +384,11 @@ def _stepping(runs, t_max: float, dt: float, record_every: int):
         # a run stepped alone (no copy when there is one run)
         results = [gate(steps, np.ascontiguousarray(Z[:, c]))
                    for (_, _, _, gate), c in zip(members, cols)]
-        aborts = [(len(samples), i)
-                  for i, (samples, abort) in enumerate(results)
+        aborts = [(len(block.step), i)
+                  for i, (block, abort) in enumerate(results)
                   if abort is not None]
         k, first = min(aborts, default=(len(steps), None))
-        yield [samples[:k] for samples, _ in results]
+        yield [block.head(k) for block, _ in results]
         if first is not None:
             raise results[first][1]
 
@@ -394,11 +418,12 @@ def _stepping(runs, t_max: float, dt: float, record_every: int):
 
 def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
               dt: float = 1e-4, record_every: int = 1):
-    """Fixed-step RK4 on the joint system (psi, H, F), yielding samples:
-    the stepping core's one-run case.
+    """Fixed-step RK4 on the joint system (psi, H, F), yielding blocks of
+    samples: the stepping core's one-run case.
 
-    Returns a generator of Samples: step 0, every record_every-th step and
-    the last step of round(t_max / dt) (at least one).  H and F are stepped
+    Returns a generator of Samples blocks, each of at most SAMPLE_BLOCK
+    rows, whose rows are step 0, every record_every-th step and the last
+    step of round(t_max / dt) (at least one).  H and F are stepped
     in their subspace coordinates, so they stay in their subspaces exactly;
     psi is stepped alongside, its interleaved (Re, Im) parts appended to
     (h, f) in one state z.  Both parts of the flow are bilinear in z, so
@@ -407,19 +432,20 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
 
     Step 0 is gated before the first step; after it the steps run in blocks
     of SAMPLE_BLOCK, and each block's recorded states are gated together
-    (one stacked eigvalsh for the spectra) before its samples are yielded.
+    (one stacked eigvalsh for the spectra) before its block is yielded.
     So a sample lags the state by at most SAMPLE_BLOCK steps.
 
     t_max and dt must be positive with t_max / dt finite, record_every a
-    positive integer, and H0 and F0 must lie in their subspaces to 1e-8;
-    bad input raises ValidationError here, before the first sample.
-    Raises DriftAbort at a sample where any tracked invariant (norm,
-    Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not finite,
-    after yielding every sample before it; a state that overflows aborts
-    there without a numpy warning.
+    positive integer, H0 and F0 finite Hermitian problem.dim x problem.dim
+    matrices in their subspaces to 1e-8, and psi0 a finite unit vector of
+    problem.dim entries; bad input raises ValidationError here, before the
+    first sample.  Raises DriftAbort at a sample where any tracked
+    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4
+    or is not finite, after yielding every sample before it; a state that
+    overflows aborts there without a numpy warning.
     """
     blocks = _stepping([(problem, H0, F0, psi0)], t_max, dt, record_every)
-    return (s for (samples,) in blocks for s in samples)
+    return (samples for (samples,) in blocks)
 
 
 def evolve_joint(runs, t_max: float, dt: float = 1e-4,
@@ -430,21 +456,15 @@ def evolve_joint(runs, t_max: float, dt: float = 1e-4,
     Each Trajectory equals the run's own evolve to the bit.  Every run's
     input is checked before the first step; if runs abort, the DriftAbort
     is the one of the run that aborts at the earliest step (the first such
-    run on a tie), as its own evolve raises it.  Each block's samples are
-    turned into columns as it comes, so no more than a block of Samples is
-    held.
+    run on a tie), as its own evolve raises it.  Each run's Samples blocks
+    are concatenated into its Trajectory.
     """
-    names = ("t", "y", "psi", *_DRIFTS)
-    blocks = [[] for _ in runs]
-    for block in _stepping(runs, t_max, dt, record_every):
-        for columns, samples in zip(blocks, block):
-            columns.append([np.array([getattr(s, name) for s in samples])
-                            for name in names])
     trajectories = []
-    for (problem, *_), columns in zip(runs, blocks):
-        t, y, psi, *drifts = map(np.concatenate, zip(*columns))
-        trajectories.append(Trajectory(t, *problem.matrices(y), psi,
-                                       *drifts))
+    for (problem, *_), blocks in zip(runs, zip(*_stepping(runs, t_max, dt,
+                                                          record_every))):
+        s = Samples.concatenate(blocks)
+        trajectories.append(Trajectory(s.t, *problem.matrices(s.y), s.psi,
+                                       *s[-4:]))
     return trajectories
 
 

@@ -194,7 +194,7 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
         constraint_at=_constant(Omega * SIGMA_Z),
         psi0=psi0, target=target,
         min_time=np.pi / (2 * np.sqrt(k)),
-        period=(np.pi / Omega if Omega else 2 * np.pi / np.sqrt(k)),
+        period=(np.pi / abs(Omega) if Omega else 2 * np.pi / np.sqrt(k)),
         quantization=quant,
         problem=problem)
 
@@ -410,20 +410,16 @@ def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
     """Curvature/torsion rotor: K = C sin(eta t) + N cos(eta t),
     T = A sin(eta t) + B cos(eta t), H = i * antisymmetric(K, T).
 
-    Requires the circle constraint K^2 + T^2 = const (A = N, C = -B).
+    Requires K^2 + T^2 = const on the branch A = N, C = -B (to 1e-8
+    relative to R) that the frame assumes, not on its mirror A = -N, C = B.
     """
     R2 = N**2 + B**2
     if R2 <= 0:
         raise ValidationError("K(0)^2 + T(0)^2 must be positive")
-    ts = np.linspace(0.0, 2 * np.pi / max(abs(eta), 1.0), 41)
-    with np.errstate(over="ignore"):        # an infinite radius fails below
-        radii = [(C * np.sin(eta * t) + N * np.cos(eta * t)) ** 2
-                 + (A * np.sin(eta * t) + B * np.cos(eta * t)) ** 2
-                 for t in ts]
-    if (not np.all(np.isfinite(radii))
-            or max(radii) - min(radii) > 1e-8 * max(max(radii), 1.0)):
-        raise ValidationError("circle constraint violated: K^2 + T^2 varies")
     R = np.sqrt(R2)
+    if not (abs(A - N) <= 1e-8 * R and abs(C + B) <= 1e-8 * R):
+        raise ValidationError("circle constraint violated: need A = N and "
+                              "C = -B")
     MF = np.array([[0, 0, -1j], [0, 0, 0], [1j, 0, 0]])
 
     def ham(t):
@@ -502,7 +498,7 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
         constraint_at=_constant(F0),
         psi0=psi0,
         target=bell,
-        period=np.pi / lx,
+        period=np.pi / abs(lx),
         problem=problem,
         extras={"bell_time": np.pi / (8 * lx),
                 "printed_min_time_claim": np.pi / lx},

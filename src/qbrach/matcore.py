@@ -2,10 +2,10 @@
 
 Everything downstream (the brachistochrone integrator, the scenario catalog,
 the gate checks) works with plain square numpy arrays at desk scale
-(dim <= ~16).  This module provides the validated primitives: the
-commutator, trace inner products, Hermitian eigendecomposition with a
-deterministic phase convention, the spectral matrix exponential and the
-step-ordered exponential.
+(dim <= ~16).  This module provides the validated primitives: trace
+inner products, Hermitian eigendecomposition with a deterministic phase
+convention, the spectral matrix exponential and the step-ordered
+exponential.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ def check_state(psi) -> np.ndarray:
     if abs(nrm - 1.0) > STATE_TOL:
         raise ValidationError(f"state not normalized: ||psi|| = {nrm:.12f}")
     return v
-
-
-def commutator(A, B) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise ValidationError("dimension mismatch in commutator")
-    return A @ B - B @ A
 
 
 def trace_inner(A, B) -> float:

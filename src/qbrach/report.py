@@ -73,11 +73,12 @@ def merge(envelopes) -> ReportEnvelope:
 # gates sweep
 # ---------------------------------------------------------------------------
 
-def _build_gate(entry, angle: float = 0.4) -> np.ndarray:
+def _build_gate(entry) -> np.ndarray:
+    """The entry's gate with each required (angle) parameter at 0.4."""
     import inspect
     params = [p for p in inspect.signature(entry.builder).parameters.values()
               if p.default is inspect.Parameter.empty]
-    return entry.builder(*([angle] * len(params)))
+    return entry.builder(*([0.4] * len(params)))
 
 
 def verify_gates() -> ReportEnvelope:

@@ -233,19 +233,16 @@ def cheb_ode_residual(m: int, x: float) -> float:
 # Bessel functions and the spin-wave Green's function
 # ---------------------------------------------------------------------------
 
-BESSEL_BLOCK = 256     # rows of r per (rows, nodes) quadrature block
-
-
 def bessel_J(n: int, r, nodes: int = 512):
     """J_n(r) by periodic-trapezoid quadrature of
     (1/2pi) \\int_{-pi}^{pi} e^{-i(n phi - r sin phi)} d phi
     (spectrally convergent); the tiny imaginary residual is discarded.
 
     A scalar r gives a float; an array of r gives an array of its shape,
-    evaluated BESSEL_BLOCK values of r at a time.  Only cos(n phi - r sin phi),
-    the real part of the integrand, is computed; it is averaged as the real
-    part of a complex block, so the sum runs in the same order as the
-    complex mean of the full integrand.
+    evaluated as one (r, nodes) block (the callers pass at most 64 values).
+    Only cos(n phi - r sin phi), the real part of the integrand, is
+    computed; it is averaged as the real part of a complex block, so the
+    sum runs in the same order as the complex mean of the full integrand.
     """
     r = np.asarray(r, dtype=float)
     if abs(n) > 32 or np.any(np.abs(r) > 50):
@@ -253,13 +250,9 @@ def bessel_J(n: int, r, nodes: int = 512):
     phi = -np.pi + 2 * np.pi * np.arange(nodes) / nodes
     n_phi, sin_phi = n * phi, np.sin(phi)
     flat = r.reshape(-1)
-    out = np.empty(flat.size)
-    block = np.zeros((min(BESSEL_BLOCK, flat.size), nodes), dtype=complex)
-    for lo in range(0, flat.size, BESSEL_BLOCK):
-        rows = flat[lo:lo + BESSEL_BLOCK]
-        vals = block[:rows.size]
-        vals.real = np.cos(n_phi - rows[:, None] * sin_phi)
-        out[lo:lo + rows.size] = np.mean(vals, axis=-1).real
+    vals = np.zeros((flat.size, nodes), dtype=complex)
+    vals.real = np.cos(n_phi - flat[:, None] * sin_phi)
+    out = np.mean(vals, axis=-1).real
     return out.reshape(r.shape) if r.ndim else float(out[0])
 
 
@@ -273,7 +266,7 @@ def bessel_ode_residual(n: int, r: float) -> float:
     return abs(r * r * d2 + r * d1 + (r * r - n * n) * bessel_J(n, r))
 
 
-def greens_spinwave(dq: int, t: float, nodes: int = 1024) -> complex:
+def greens_spinwave(dq: int, t: float) -> complex:
     """Nearest-neighbor lattice Green's function
     K(dq, t) = (1/2pi) \\int_{-pi}^{pi} e^{-i(p dq - 2 t cos p)} dp.
 
@@ -284,7 +277,7 @@ def greens_spinwave(dq: int, t: float, nodes: int = 1024) -> complex:
     """
     if abs(dq) > 32:
         raise ValidationError("greens_spinwave supports |dq| <= 32")
-    p = -np.pi + 2 * np.pi * np.arange(nodes) / nodes
+    p = -np.pi + 2 * np.pi * np.arange(1024) / 1024
     vals = np.exp(-1j * (p * dq - 2 * t * np.cos(p)))
     return complex(np.mean(vals))
 
@@ -335,29 +328,28 @@ def spinwave_lattice_oracle(t: float) -> np.ndarray:
 # cosine-transformed oscillator
 # ---------------------------------------------------------------------------
 
-def oscillator_beta(z: float, alpha: float, beta0: complex = 1.0) -> complex:
-    """beta(z) = beta0 exp(i acos z) exp(-i alpha sqrt(1 - z^2)),
+def oscillator_beta(z: float, alpha: float) -> complex:
+    """beta(z) = exp(i acos z) exp(-i alpha sqrt(1 - z^2)),
     the closed-form solution of i d(beta)/dz = (1-alpha z)/sqrt(1-z^2) beta
     (principal branch acos)."""
     if not -1.0 < z < 1.0:
         raise ValidationError("oscillator_beta requires |z| < 1")
-    return (beta0 * np.exp(1j * np.arccos(z))
+    return (np.exp(1j * np.arccos(z))
             * np.exp(-1j * alpha * np.sqrt(1.0 - z * z)))
 
 
-def oscillator_ode_residual(z: float, alpha: float, h: float = 1e-5) -> float:
+def oscillator_ode_residual(z: float, alpha: float) -> float:
     """|i beta' - (1 - alpha z)/sqrt(1-z^2) beta| by central differences."""
-    b = oscillator_beta
+    b, h = oscillator_beta, 1e-5
     d = (b(z + h, alpha) - b(z - h, alpha)) / (2 * h)
     return abs(1j * d - (1 - alpha * z) / np.sqrt(1 - z * z)
                * b(z, alpha))
 
 
-def oscillator_second_order_residual(z: float, alpha: float,
-                                     h: float = 1e-4) -> float:
+def oscillator_second_order_residual(z: float, alpha: float) -> float:
     """Residual of the second-order form
     (1-z^2) b'' + (alpha(1-z^2)/(1-alpha z) - z) b' + (1-alpha z)^2 b = 0."""
-    b = oscillator_beta
+    b, h = oscillator_beta, 1e-4
     b0 = b(z, alpha)
     d1 = (b(z + h, alpha) - b(z - h, alpha)) / (2 * h)
     d2 = (b(z + h, alpha) - 2 * b0 + b(z - h, alpha)) / h**2
@@ -367,7 +359,7 @@ def oscillator_second_order_residual(z: float, alpha: float,
 
 
 def cosine_frame_identities(psi: Callable[[float], complex],
-                            chi: float, h: float = 1e-3) -> dict:
+                            chi: float) -> dict:
     """Finite-difference check of the cosine-frame transform pair on a
     smooth test function Psi(z), z = cos(chi).
 
@@ -383,10 +375,10 @@ def cosine_frame_identities(psi: Callable[[float], complex],
     def g(c):
         return psi(np.cos(c))
 
-    p_chi = fd_derivative(g, chi, 1, npoints=5, h=h)
-    p_chichi = fd_derivative(g, chi, 2, npoints=5, h=h)
-    p_z = fd_derivative(psi, z, 1, npoints=5, h=h)
-    p_zz = fd_derivative(psi, z, 2, npoints=5, h=h)
+    p_chi = fd_derivative(g, chi, 1, npoints=5, h=1e-3)
+    p_chichi = fd_derivative(g, chi, 2, npoints=5, h=1e-3)
+    p_z = fd_derivative(psi, z, 1, npoints=5, h=1e-3)
+    p_zz = fd_derivative(psi, z, 2, npoints=5, h=1e-3)
     cot = np.cos(chi) / np.sin(chi)
     return {
         "second_order_forward": abs(p_chichi
@@ -441,7 +433,7 @@ def ell_polys() -> dict:
     return {"polys": polys, "report": report}
 
 
-def root_classify(P: Polynomial, tol: float = 1e-8) -> dict:
+def root_classify(P: Polynomial) -> dict:
     """Classify the roots of P (found via the companion-matrix
     eigenvalues) as real-positive, real-negative, pure-imaginary pairs,
     or general complex quadruple/pair members."""
@@ -450,9 +442,9 @@ def root_classify(P: Polynomial, tol: float = 1e-8) -> dict:
     roots = np.roots(P.as_float_coeffs()[::-1])
     real_pos, real_neg, imag, cplx = [], [], [], []
     for r in roots:
-        if abs(r.imag) <= tol:
+        if abs(r.imag) <= 1e-8:
             (real_pos if r.real > 0 else real_neg).append(r.real)
-        elif abs(r.real) <= tol:
+        elif abs(r.real) <= 1e-8:
             imag.append(r.imag)
         else:
             cplx.append(complex(r))
@@ -580,22 +572,21 @@ def residue_at_origin(R: RationalFunction) -> dict:
 # weighted integrals and moment marginals
 # ---------------------------------------------------------------------------
 
-def gauss_chebyshev_integral(P: Polynomial, nodes: int = 16) -> float:
-    """\\int_{-1}^{1} P(u)/sqrt(1-u^2) du, exact for deg <= 2*nodes - 1."""
-    if nodes < 16:
-        raise ValidationError("node count must be >= 16")
-    k = np.arange(1, nodes + 1)
-    x = np.cos((2 * k - 1) * np.pi / (2 * nodes))
+def gauss_chebyshev_integral(P: Polynomial) -> float:
+    """\\int_{-1}^{1} P(u)/sqrt(1-u^2) du by the 16-node Gauss-Chebyshev
+    rule, exact for deg <= 31."""
+    k = np.arange(1, 17)
+    x = np.cos((2 * k - 1) * np.pi / 32)
     vals = np.polyval(P.as_float_coeffs()[::-1], x)
-    return float(np.pi / nodes * np.sum(vals))
+    return float(np.pi / 16 * np.sum(vals))
 
 
-def weight_normalization(alpha: float, nodes: int = 200) -> tuple:
+def weight_normalization(alpha: float) -> tuple:
     """(numeric, exact) for \\int_{-1}^{1} (1-u^2)^{alpha/2} du
     = sqrt(pi) Gamma(alpha/2+1)/Gamma(alpha/2+3/2); numeric via the
-    substitution u = cos(t)."""
+    substitution u = cos(t), with 200 Gauss-Legendre nodes."""
     numeric = float(_gauss_legendre(lambda t: np.sin(t) ** (alpha + 1),
-                                    0.0, np.pi, nodes))
+                                    0.0, np.pi, 200))
     exact = (np.sqrt(np.pi) * math.gamma(alpha / 2 + 1)
              / math.gamma(alpha / 2 + 1.5))
     return numeric, exact
@@ -695,19 +686,17 @@ def sec_tan_identity_probe(a: float = 0.2, b: float = 0.9) -> dict:
             "residual": abs(lhs - rhs)}
 
 
-def bessel_inner_product_probe(m: int = 2, n: int = 2) -> dict:
-    """Quadrature of \\int_{-pi}^{pi} J_m(v) J_n(v) dv against the printed
-    value delta_mn / (2 pi^2), which is dimensionally inconsistent; the
-    residual is reported only.  The integrand is entire, so PROBE_NODES
+def bessel_inner_product_probe() -> dict:
+    """Quadrature of \\int_{-pi}^{pi} J_2(v)^2 dv against the printed value
+    delta_mn / (2 pi^2) at m = n = 2, which is dimensionally inconsistent;
+    the residual is reported only.  The integrand is entire, so PROBE_NODES
     Gauss-Legendre nodes converge to round-off; J takes 64 quadrature
     nodes, enough on |v| <= pi (bessel_J's default 512 is sized for
     |r| <= 50)."""
     def f(v):
-        # |v| <= pi: 64 nodes alias by less than |J_32(pi)| ~ 7e-30 for
-        # |m| <= 32
-        jm = bessel_J(m, v, 64)
-        return jm * (jm if n == m else bessel_J(n, v, 64))
+        # |v| <= pi: 64 nodes alias by less than |J_32(pi)| ~ 7e-30
+        return bessel_J(2, v, 64) ** 2
     val = float(_gauss_legendre(f, -np.pi, np.pi, PROBE_NODES))
-    printed = (1.0 / (2 * np.pi**2)) if m == n else 0.0
+    printed = 1.0 / (2 * np.pi**2)
     return {"quadrature": val, "printed": printed,
             "residual": abs(val - printed)}

@@ -1,13 +1,13 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbrach import brach, catalog
-from qbrach.matcore import (ValidationError, check_hermitian,
-                            commutator, expm_h)
+from qbrach.matcore import ValidationError, check_hermitian, expm_h
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -24,9 +24,27 @@ def su2_problem():
 KINDS = ("antidiagonal", "tridiagonal", "diagonal")
 
 
+def commutator(A, B):
+    return A @ B - B @ A
+
+
+def projection(basis, A):
+    """A projected onto the span of an orthonormal basis under Tr(A B)."""
+    return sum((np.trace(E @ A) * E for E in basis), np.zeros_like(A))
+
+
+def matrix_rhs(problem, H, F):
+    """The flow's matrix form: -i[H, F] projected onto the driver and the
+    constraint subspace."""
+    C = -1j * commutator(H, F)
+    return (projection(problem._driver, C),
+            projection(problem._constraint, C))
+
+
 def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
     """integrate's samples made one at a time, each invariant by its own
-    numpy call on one state; raises DriftAbort as integrate does."""
+    numpy call on one state, each yielded as a Samples of scalars (one
+    row); raises DriftAbort as integrate does."""
     n, nd = problem.dim, len(problem._driver)
     y0 = problem.coefficients(H0, F0)
     m = len(y0)
@@ -49,9 +67,10 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
         G = (y @ B).reshape(n, n)
         eig_d = (float(np.abs(np.linalg.eigvalsh(G) - eig0).max()) / eig_scale
                  if np.isfinite(G).all() else math.inf)
-        s = brach.Sample(step, step * dt, y.copy(), w.view(complex).copy(),
-                         trH2, trHF, norm, abs(norm - 1.0),
-                         abs(trH2 - trH2_0) / trH2_scale, abs(trHF), eig_d)
+        s = brach.Samples(step, step * dt, y.copy(),
+                          w.view(complex).copy(), trH2, trHF, norm,
+                          abs(norm - 1.0), abs(trH2 - trH2_0) / trH2_scale,
+                          abs(trHF), eig_d)
         if not all(d <= brach.DRIFT_ABORT for d in s[-4:]):
             raise brach.DriftAbort(
                 f"invariant drift beyond {brach.DRIFT_ABORT:g} at t={s.t:.6f}",
@@ -70,24 +89,25 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
             yield sample(step, z)
 
 
-def collect(samples):
-    """The samples a generator yields, and the DriftAbort it ends with (or
-    None)."""
+def collect(blocks):
+    """The Samples blocks a generator yields, and the DriftAbort it ends
+    with (or None)."""
     got = []
     try:
-        for s in samples:
-            got.append(s)
+        for block in blocks:
+            got.append(block)
     except brach.DriftAbort as exc:
         return got, exc
     return got, None
 
 
-def assert_samples_equal(got, want):
-    assert [s.step for s in got] == [s.step for s in want]
-    for g, w in zip(got, want):
-        assert g.t == w.t
-        assert np.array_equal(g.y, w.y) and np.array_equal(g.psi, w.psi)
-        assert np.array_equal(g[4:], w[4:]), g.step
+def assert_samples_equal(blocks, rows):
+    """The rows of the blocks equal the reference rows, field by field."""
+    got = brach.Samples.concatenate(blocks)
+    want = brach.Samples(*map(np.array, zip(*rows)))
+    assert got.step.tolist() == want.step.tolist()
+    for name, g, w in zip(brach.Samples._fields, got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 class TestControlProblem:
@@ -160,6 +180,14 @@ class TestControlProblem:
         assert not prob.flow(prob.coefficients(A, A)).any()
 
 
+def su3_basis():
+    """The standard basis of su(3): _cartan(3), then the three _sym and
+    the three _asym generators."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return (catalog._cartan(3) + [catalog._sym(3, i, j) for i, j in pairs]
+            + [catalog._asym(3, i, j) for i, j in pairs])
+
+
 class TestRhs:
     def test_rhs_is_split_commutator(self):
         prob = su2_problem()
@@ -181,10 +209,50 @@ class TestRhs:
             A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             A = A + A.conj().T
             H, F = prob.project_driver(A), prob.project_constraint(A)
-            rhs = brach.brach_rhs(H, F, prob)
             y = prob.coefficients(H, F)
-            expected = prob.coefficients(rhs.dH, rhs.dF)
+            expected = prob.coefficients(*matrix_rhs(prob, H, F))
             assert np.max(np.abs(prob.flow(y) - expected)) < 1e-12
+
+    def test_every_su3_split(self):
+        # each of the 2^8 - 2 driver/constraint splits of su(3)'s standard
+        # basis: brach_rhs, made from the term list, against the projected
+        # commutator, and each empty block of terms against the bracket:
+        # [D, C] in span C <=> dh = 0, [D, C] in span D <=> df = 0
+        basis = su3_basis()
+        rng = np.random.default_rng(1)
+        classes = Counter()
+        for mask in range(1, 2 ** len(basis) - 1):
+            D = [E for i, E in enumerate(basis) if mask >> i & 1]
+            C = [E for i, E in enumerate(basis) if not mask >> i & 1]
+            prob = brach.ControlProblem(dim=3, driver_basis=D,
+                                        constraint_basis=C)
+            H = sum(c * E for c, E in zip(rng.normal(size=len(D)), D))
+            F = sum(c * E for c, E in zip(rng.normal(size=len(C)), C))
+            rhs = brach.brach_rhs(H, F, prob)
+            dH, dF = matrix_rhs(prob, H, F)
+            assert np.max(np.abs(rhs.dH - dH)) < 1e-12, mask
+            assert np.max(np.abs(rhs.dF - dF)) < 1e-12, mask
+            brackets = [commutator(Da, Cb) for Da in D for Cb in C]
+            k = prob._terms[0]
+            dh_zero, df_zero = not np.any(k < len(D)), not np.any(k >= len(D))
+            assert dh_zero == all(
+                np.max(np.abs(X - projection(C, X))) < 1e-12
+                for X in brackets), mask
+            assert df_zero == all(
+                np.max(np.abs(X - projection(D, X))) < 1e-12
+                for X in brackets), mask
+            classes[dh_zero, df_zero] += 1
+        assert classes == {(True, False): 19, (False, True): 19,
+                           (False, False): 216}
+
+    @pytest.mark.parametrize("H, F", [
+        (SY + 1e-6 * SZ, SZ),               # H outside the driver span
+        (SY, SZ + 1e-6 * SX),               # F outside the constraint span
+        (np.pad(SY, (0, 1)), SZ),           # 3x3 for a 2-level problem
+        (SY, np.array([[np.nan, 0], [0, 0]]))])
+    def test_rejects_bad_input(self, H, F):
+        with pytest.raises(ValidationError):
+            brach.brach_rhs(H, F, su2_problem())
 
 
 class TestEvolve:
@@ -290,14 +358,13 @@ class TestIntegrate:
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         args = (fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 7)
-        samples = list(brach.integrate(*args))
+        s = brach.Samples.concatenate(brach.integrate(*args))
         traj = brach.evolve(*args)
-        assert [s.step for s in samples] == [0, 7, 14, 21, 28, 35, 42, 49, 50]
-        Hs, Fs = fam.problem.matrices(np.array([s.y for s in samples]))
-        for name, value in (("times", [s.t for s in samples]), ("Hs", Hs),
-                            ("Fs", Fs), ("psis", [s.psi for s in samples]),
-                            *((d, [getattr(s, d) for s in samples])
-                              for d in brach._DRIFTS)):
+        assert s.step.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+        Hs, Fs = fam.problem.matrices(s.y)
+        for name, value in (("times", s.t), ("Hs", Hs), ("Fs", Fs),
+                            ("psis", s.psi),
+                            *((d, getattr(s, d)) for d in brach._DRIFTS)):
             np.testing.assert_array_equal(getattr(traj, name), value)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -306,12 +373,14 @@ class TestIntegrate:
         fam = catalog.family_sun(n, kind)
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
-        for s in brach.integrate(fam.problem, fam.H0, fam.F0, psi0, 0.05,
-                                 1e-3, 5):
-            H, F = fam.problem.matrices(s.y)
-            assert abs(s.trH2 - np.trace(H @ H).real) < 1e-13
-            assert abs(s.trHF - np.trace(H @ F).real) < 1e-13
-            assert abs(s.norm - np.linalg.norm(s.psi)) < 1e-13
+        s = brach.Samples.concatenate(brach.integrate(
+            fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 5))
+        Hs, Fs = fam.problem.matrices(s.y)
+        for H, F, psi, trH2, trHF, norm in zip(Hs, Fs, s.psi, s.trH2, s.trHF,
+                                               s.norm):
+            assert abs(trH2 - np.trace(H @ H).real) < 1e-13
+            assert abs(trHF - np.trace(H @ F).real) < 1e-13
+            assert abs(norm - np.linalg.norm(psi)) < 1e-13
 
     def test_bad_input_raises_before_the_first_sample(self):
         with pytest.raises(ValidationError):
@@ -367,7 +436,12 @@ class TestBlockGate:
         assert 600 > 2 * brach.SAMPLE_BLOCK
         got = list(brach.integrate(*args))
         want = list(reference_samples(*args))
-        assert got[-1].step == 600
+        # one block for step 0 and one for each block of steps
+        assert [(b.step[0], b.step[-1]) for b in got] == [
+            (0, 0), (record_every, 256 // record_every * record_every),
+            (-(-257 // record_every) * record_every,
+             512 // record_every * record_every),
+            (-(-513 // record_every) * record_every, 600)]
         assert_samples_equal(got, want)
 
     def test_abort_inside_a_block(self):
@@ -397,7 +471,7 @@ class TestBlockGate:
             got, abort = collect(brach.integrate(fam.problem, fam.H0, fam.F0,
                                                  psi0, 1000 * dt, dt, 1))
         assert caught == []
-        assert [s.step for s in got] == [0]
+        assert brach.Samples.concatenate(got).step.tolist() == [0]
         assert abort is not None and abort.diagnostics["step"] == 1
 
 
@@ -465,17 +539,27 @@ class TestEvolveJoint:
         assert info.value.diagnostics["step"] == min(
             a.diagnostics["step"] for a in aborts)
 
-    @pytest.mark.parametrize("bad", ["nan_psi", "h0_outside"])
+    @pytest.mark.parametrize("bad", ["nan_psi", "h0_outside", "long_psi",
+                                     "short_psi", "big_h0"])
     def test_bad_member_raises_before_any_step(self, bad, monkeypatch):
+        # a 3-level member: a 4-entry psi0 once stepped with its 4th entry
+        # fixed, a 2-entry one raised IndexError and a 4x4 H0 numpy's
+        # broadcast ValueError
         def no_step(*args):
             raise AssertionError("stepped before checking every member")
 
         monkeypatch.setattr(brach, "rk4_step", no_step)
-        problem, H0, F0, psi0 = family_run(4, "tridiagonal")
+        problem, H0, F0, psi0 = family_run(3, "tridiagonal")
         if bad == "nan_psi":
-            psi0 = np.array([np.nan, 0, 0, 0], dtype=complex)
-        else:
+            psi0 = np.array([np.nan, 0, 0], dtype=complex)
+        elif bad == "h0_outside":
             H0 = H0 + F0
+        elif bad == "long_psi":
+            psi0 = unit_state(4)
+        elif bad == "short_psi":
+            psi0 = unit_state(2)
+        else:
+            H0 = np.pad(H0, (0, 1))
         runs = [family_run(5, "tridiagonal"), (problem, H0, F0, psi0)]
         with pytest.raises(ValidationError):
             brach.evolve_joint(runs, 1.0, 1e-3)
@@ -485,7 +569,7 @@ class TestEvolveJoint:
             brach.evolve_joint([], 1.0, 1e-3)
 
 
-def reference_orthonormalize(basis, dim, label, warn_tol=1e-10):
+def reference_orthonormalize(basis, dim, label):
     """_orthonormalize one element at a time: each element's checks, its
     projection and its normalization in turn."""
     out = np.empty((len(basis), dim * dim), dtype=complex)
@@ -502,7 +586,7 @@ def reference_orthonormalize(basis, dim, label, warn_tol=1e-10):
         if nrm < 1e-12:
             raise ValidationError(f"{label} basis is linearly dependent")
         out[k] = a / nrm
-        if np.max(np.abs(out[k] - A.reshape(-1))) > warn_tol:
+        if np.max(np.abs(out[k] - A.reshape(-1))) > 1e-10:
             adjusted = True
     if adjusted:
         warnings.warn(f"{label} basis was not orthonormal under Tr(A B); "

@@ -56,6 +56,17 @@ class TestValidation:
         diag = catalog.validate(catalog.scenario_su2(1.0, 0.7)).diagnostics
         assert diag["quantization_0"] > 0.1
 
+    @pytest.mark.parametrize("scn", [
+        catalog.scenario_su2(Omega=-0.5),
+        catalog.scenario_su4_heisenberg(lambda_x=-0.7)],
+        ids=lambda scn: scn.name)
+    def test_negative_frequency(self, scn):
+        # a negative frequency once gave a negative period, and validate
+        # raised "dt must not exceed t_max"
+        assert scn.period > 0
+        rep = catalog.validate(scn)
+        assert rep.passed(1e-6), rep.deviations
+
 
 def _seeded(seed):
     return [builder() if name != "su4-heisenberg" else builder(seed=seed)
@@ -247,6 +258,18 @@ class TestFrenet:
         with pytest.raises(ValidationError):
             catalog.scenario_frenet(A=1.0, B=0.5, C=0.7, N=0.9, eta=0.7)
 
+    def test_mirrored_branch_rejected(self):
+        # A = -N, C = B keeps K^2 + T^2 constant too, but the frame and the
+        # eigenvectors assume A = N, C = -B: validate once gave a
+        # Schrodinger residual of 2.1 here
+        with pytest.raises(ValidationError, match="A = N and C = -B"):
+            catalog.scenario_frenet(A=-1.0, B=0.5, C=0.5, N=1.0)
+
+    def test_other_point_of_the_branch(self):
+        scn = catalog.scenario_frenet(A=0.8, B=-0.3, C=0.3, N=0.8, eta=-1.2)
+        rep = catalog.validate(scn)
+        assert rep.passed(1e-6), rep.deviations
+
     def test_eigvector_columns(self):
         scn = catalog.scenario_frenet()
         R = scn.extras["R"]
@@ -315,13 +338,14 @@ class TestFamilies:
         nd = len(fam.problem._driver)
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
-        samples = list(brach.integrate(fam.problem, fam.H0, fam.F0, psi0,
-                                       1.0, dt=1e-3, record_every=100))
-        assert len(samples) == 11
-        for s in samples:
-            assert np.array_equal(s.y[:nd], samples[0].y[:nd])
-            exact = expm_h(fam.H0, s.t) @ psi0
-            assert np.max(np.abs(s.psi - exact)) <= 1e-12
+        s = brach.Samples.concatenate(brach.integrate(
+            fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
+            record_every=100))
+        assert len(s.step) == 11
+        for y, t, psi in zip(s.y, s.t, s.psi):
+            assert np.array_equal(y[:nd], s.y[0, :nd])
+            exact = expm_h(fam.H0, t) @ psi0
+            assert np.max(np.abs(psi - exact)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_constant_constraint_kinds_match_exact_solution(self, n):
@@ -333,16 +357,17 @@ class TestFamilies:
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
         propagator = catalog._frame_propagator(fam.F0, fam.H0)
-        samples = list(brach.integrate(fam.problem, fam.H0, fam.F0, psi0,
-                                       1.0, dt=1e-3, record_every=100))
-        assert len(samples) == 11
-        for s in samples:
-            assert np.array_equal(s.y[nd:], samples[0].y[nd:])
-            H, _ = fam.problem.matrices(s.y)
-            exact_H = expm_h(fam.F0, -s.t) @ fam.H0 @ expm_h(fam.F0, s.t)
+        s = brach.Samples.concatenate(brach.integrate(
+            fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
+            record_every=100))
+        assert len(s.step) == 11
+        for y, t, psi in zip(s.y, s.t, s.psi):
+            assert np.array_equal(y[nd:], s.y[0, nd:])
+            H, _ = fam.problem.matrices(y)
+            exact_H = expm_h(fam.F0, -t) @ fam.H0 @ expm_h(fam.F0, t)
             assert np.max(np.abs(H - exact_H)) <= 1e-12
-            exact_psi = propagator(s.t) @ psi0
-            assert np.max(np.abs(s.psi - exact_psi)) <= 1e-12
+            exact_psi = propagator(t) @ psi0
+            assert np.max(np.abs(psi - exact_psi)) <= 1e-12
 
     def test_seed_reproducible(self):
         a = catalog.family_sun(3, "antidiagonal", seed=7)

@@ -64,6 +64,15 @@ class TestExitCodes:
         assert out == ""
         assert "bad parameters" in err
 
+    def test_frenet_mirrored_branch_rejected(self, capsys):
+        # K^2 + T^2 is constant here too, but the closed form is not: this
+        # run once exited 0 and wrote wrong states
+        assert run_cli(["run", "--scenario", "frenet", "--param", "A=-1",
+                        "--param", "C=0.5", "--t-max", "0.1"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad parameters" in err
+
     @pytest.mark.parametrize("scenario", sorted(catalog.SCENARIO_BUILDERS))
     def test_extreme_params_rejected_or_finite(self, scenario, capsys):
         # every numeric parameter at a non-finite value exits 65 before its

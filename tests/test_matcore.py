@@ -46,11 +46,6 @@ class TestValidation:
 
 
 class TestAlgebra:
-    def test_commutator_antisymmetry(self):
-        A, B = random_hermitian(3, 1), random_hermitian(3, 2)
-        assert np.max(np.abs(mc.commutator(A, B)
-                             + mc.commutator(B, A))) < 1e-12
-
     def test_trace_inner_symmetry(self):
         A, B = random_hermitian(3, 3), random_hermitian(3, 4)
         assert mc.trace_inner(A, B) == pytest.approx(mc.trace_inner(B, A))
