@@ -28,7 +28,7 @@ SAMPLE_BLOCK = 256
 
 
 class DriftAbort(RuntimeError):
-    """Raised when an invariant drifts beyond the hard limit during evolve."""
+    """Raised when an invariant drifts beyond the hard limit while stepping."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -175,25 +175,6 @@ def joint_flow(problems: Sequence[ControlProblem]):
     return lambda z: _bilinear(terms, z)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-indexed record of (H, F, psi) plus invariant diagnostics."""
-
-    times: np.ndarray
-    Hs: np.ndarray
-    Fs: np.ndarray
-    psis: np.ndarray
-    norm_drift: np.ndarray
-    trH2_drift: np.ndarray      # relative drift of Tr H^2
-    trHF_residual: np.ndarray
-    eigenvalue_drift: np.ndarray   # spectrum drift of G = H + F
-
-
-class BrachRhs(NamedTuple):
-    dH: np.ndarray
-    dF: np.ndarray
-
-
 def _coordinates(problem: ControlProblem, H, F) -> np.ndarray:
     """y = (h, f) of the checked H and F: finite Hermitian dim x dim
     matrices that lie in their subspaces, i.e. matrices(y) returns them to
@@ -212,11 +193,11 @@ def _coordinates(problem: ControlProblem, H, F) -> np.ndarray:
     return y
 
 
-def brach_rhs(H, F, problem: ControlProblem) -> BrachRhs:
-    """Right-hand side of the evolution law, -i[H, F] projected onto the
-    driver and constraint subspaces: the problem's flow at (H, F)."""
+def brach_rhs(H, F, problem: ControlProblem) -> tuple:
+    """Right-hand side (dH, dF) of the evolution law, -i[H, F] projected
+    onto the driver and constraint subspaces: the problem's flow at (H, F)."""
     y = _coordinates(problem, H, F)
-    return BrachRhs(*problem.matrices(problem.flow(y)))
+    return problem.matrices(problem.flow(y))
 
 
 def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
@@ -229,8 +210,8 @@ def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 class Samples(NamedTuple):
-    """A block of integrate's recorded points, as columns: row i of every
-    field belongs to the block's i-th recorded step.
+    """Recorded points as columns, one row per recorded step: a block of
+    integrate's, or the whole record of one run that evolve returns.
 
     The drift fields are the ones the gate reads and DriftAbort reports.
     """
@@ -276,7 +257,7 @@ def _psi_terms(problem: ControlProblem, offset: int):
 
 
 def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
-    """One checked run (problem, H0, F0, psi0) of the stepping core.
+    """One checked run (problem, H0, F0, psi0) of integrate.
 
     Returns its initial state z0 = (h, f, psi), psi as interleaved (Re, Im)
     pairs; its terms on z0's positions (the problem's flow terms and those
@@ -343,24 +324,43 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     return z0, terms, m, gate
 
 
-def _stepping(runs, t_max: float, dt: float, record_every: int):
-    """The stepping core: fixed-step RK4 on the runs (problem, H0, F0, psi0)
-    as one flat state, each run's (h, f, psi) at its offset.
-
-    Checks the grid and every run's input (ValidationError) at call time,
-    then returns a generator of blocks: step 0, then the steps in blocks of
-    SAMPLE_BLOCK; each block is one Samples per run.  A run's terms
-    write only its own part of the state, and each run's psi is renormalized
-    and its rows gated on its own part, so every run's samples are the ones
-    it gets when stepped alone.  If runs abort, the samples before the
-    earliest abort step are yielded and that run's DriftAbort is raised
-    (the first such run on a tie).
-    """
+def grid_steps(t_max: float, dt: float) -> int:
+    """The number of steps of dt that a run to t_max takes:
+    round(t_max / dt), and at least one.  dt must be positive and finite
+    and t_max positive with t_max / dt finite; a bad grid raises
+    ValidationError."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     if not (t_max > 0 and math.isfinite(t_max / dt)):
         raise ValidationError(
             f"t_max must be positive with t_max / dt finite, got {t_max!r}")
+    return max(int(round(t_max / dt)), 1)
+
+
+def integrate(runs, t_max: float, dt: float, record_every: int = 1):
+    """Fixed-step RK4 on the runs (problem, H0, F0, psi0) on one grid.
+
+    Returns a generator of blocks, each one Samples per run, whose rows are
+    step 0, every record_every-th step and the last of grid_steps(t_max,
+    dt).  The runs are one flat state, each run's z = (h, f, psi) at its
+    offset (psi as interleaved (Re, Im) pairs), stepped through one term
+    list: each problem's flow terms and those of dpsi = -i H psi.  H and F
+    stay in their subspaces exactly.  A run's terms write only its own
+    part, and its psi is renormalized (norm drift beyond 1e-12) and its
+    rows gated on that part, so its samples are the ones it gets alone.
+    Step 0 is gated first, then the states recorded over each SAMPLE_BLOCK
+    steps together (one stacked eigvalsh), so a sample lags the state by
+    at most SAMPLE_BLOCK steps.
+
+    The grid, record_every (a positive integer) and every run's input (see
+    _member) are checked here, before the first sample; bad input raises
+    ValidationError.  A run aborts at a sample where any tracked invariant
+    (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not
+    finite; a state that overflows aborts without a numpy warning.  If runs
+    abort, the samples before the earliest abort step are yielded and that
+    run's DriftAbort is raised (the first such run on a tie).
+    """
+    n_steps = grid_steps(t_max, dt)
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
         raise ValidationError(
             f"record_every must be a positive integer, got {record_every!r}")
@@ -373,7 +373,6 @@ def _stepping(runs, t_max: float, dt: float, record_every: int):
         cols.append(slice(lo, lo + len(z0)))
         psi_parts.append((lo + m, lo + len(z0)))
         lo += len(z0)
-    n_steps = max(int(round(t_max / dt)), 1)
 
     def rhs(z):
         return _bilinear(terms, z)
@@ -416,64 +415,13 @@ def _stepping(runs, t_max: float, dt: float, record_every: int):
     return blocks()
 
 
-def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
-              dt: float = 1e-4, record_every: int = 1):
-    """Fixed-step RK4 on the joint system (psi, H, F), yielding blocks of
-    samples: the stepping core's one-run case.
-
-    Returns a generator of Samples blocks, each of at most SAMPLE_BLOCK
-    rows, whose rows are step 0, every record_every-th step and the last
-    step of round(t_max / dt) (at least one).  H and F are stepped
-    in their subspace coordinates, so they stay in their subspaces exactly;
-    psi is stepped alongside, its interleaved (Re, Im) parts appended to
-    (h, f) in one state z.  Both parts of the flow are bilinear in z, so
-    one term list holds them: the problem's flow terms and those of
-    dpsi = -i H psi.  psi is renormalized if its norm drifts beyond 1e-12.
-
-    Step 0 is gated before the first step; after it the steps run in blocks
-    of SAMPLE_BLOCK, and each block's recorded states are gated together
-    (one stacked eigvalsh for the spectra) before its block is yielded.
-    So a sample lags the state by at most SAMPLE_BLOCK steps.
-
-    t_max and dt must be positive with t_max / dt finite, record_every a
-    positive integer, H0 and F0 finite Hermitian problem.dim x problem.dim
-    matrices in their subspaces to 1e-8, and psi0 a finite unit vector of
-    problem.dim entries; bad input raises ValidationError here, before the
-    first sample.  Raises DriftAbort at a sample where any tracked
-    invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4
-    or is not finite, after yielding every sample before it; a state that
-    overflows aborts there without a numpy warning.
-    """
-    blocks = _stepping([(problem, H0, F0, psi0)], t_max, dt, record_every)
-    return (samples for (samples,) in blocks)
-
-
-def evolve_joint(runs, t_max: float, dt: float = 1e-4,
-                 record_every: int = 1) -> list[Trajectory]:
-    """One Trajectory per run (problem, H0, F0, psi0), the runs stepped
-    together on one grid as one flat state.
-
-    Each Trajectory equals the run's own evolve to the bit.  Every run's
-    input is checked before the first step; if runs abort, the DriftAbort
-    is the one of the run that aborts at the earliest step (the first such
-    run on a tie), as its own evolve raises it.  Each run's Samples blocks
-    are concatenated into its Trajectory.
-    """
-    trajectories = []
-    for (problem, *_), blocks in zip(runs, zip(*_stepping(runs, t_max, dt,
-                                                          record_every))):
-        s = Samples.concatenate(blocks)
-        trajectories.append(Trajectory(s.t, *problem.matrices(s.y), s.psi,
-                                       *s[-4:]))
-    return trajectories
-
-
 def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
-           dt: float = 1e-4, record_every: int = 1) -> Trajectory:
-    """integrate's samples collected into a Trajectory (same arguments,
-    checks and DriftAbort): evolve_joint's one-run case."""
-    return evolve_joint([(problem, H0, F0, psi0)], t_max, dt,
-                        record_every)[0]
+           dt: float = 1e-4, record_every: int = 1) -> Samples:
+    """The samples of the one run (problem, H0, F0, psi0) as one Samples:
+    integrate's blocks concatenated (same checks and DriftAbort)."""
+    return Samples.concatenate(
+        s for (s,) in integrate([(problem, H0, F0, psi0)], t_max, dt,
+                                record_every))
 
 
 # --- SU(2) multivector form -------------------------------------------------

@@ -18,7 +18,8 @@ import numpy as np
 
 from .matcore import (ValidationError, check_hermitian, hermitian_eig,
                       ordered_exponential, trace_inner)
-from .brach import ControlProblem, evolve_joint, joint_flow, rk4_step
+from .brach import (ControlProblem, Samples, grid_steps, integrate,
+                    joint_flow, rk4_step)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -724,8 +725,10 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
 
     The four pattern pairs are integrated together on the coarse grid and
     each H(t) classified as constant, periodic (recurrence search on
-    ||H(t) - H(0)||), or neither.
+    ||H(t) - H(0)||), or neither.  A bad grid (see brach.grid_steps)
+    raises ValidationError before any work.
     """
+    n_steps = grid_steps(t_max, dt)
     rng = np.random.default_rng(seed)
     cart = _cartan(3)
 
@@ -780,7 +783,7 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     paths = _rk4_path(joint_flow([p for _, p, _, _ in pairs]),
                       np.concatenate([p.coefficients(H0, F0)
                                       for _, p, H0, F0 in pairs]),
-                      int(round(t_max / dt)), dt)
+                      n_steps, dt)
     # pair i reads the view paths[:, 8i:8i+8]: a copy per pair would add to
     # the peak memory the whole path already sets
     return [PartitionResult(i + 1, desc, H0, F0, problem,
@@ -802,9 +805,6 @@ class ValidationReport:
     def max_deviation(self) -> float:
         return max(self.deviations.values())
 
-    def passed(self, tol: float) -> bool:
-        return self.max_deviation() <= tol
-
 
 def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
     """Cross-check each scenario's analytic data against the integrator.
@@ -815,8 +815,8 @@ def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
     (c) quantization residuals at the claimed minimum time.  Both numerical
     references step at dt = 1e-3; the closed forms are sampled at 100 times
     over one period.  The integrations of (b) run over min(period, 2) and
-    are stepped together, one evolve_joint call for each such time; each
-    trajectory is the one its scenario gets alone.
+    are stepped together, one integrate call for each such time; each
+    run's samples are the ones its scenario gets alone.
     """
     dt = 1e-3
     devs, runs = [], {}
@@ -826,13 +826,15 @@ def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
         if scenario.problem is not None:
             runs.setdefault(min(T, 2.0), []).append((scenario, devs[-1]))
     for t_evo, group in runs.items():
-        trajs = evolve_joint([_integrator_run(scn) for scn, _ in group],
-                             t_evo, dt=dt, record_every=10)
-        for (scn, dev), traj in zip(group, trajs):
+        blocks = integrate([_integrator_run(scn) for scn, _ in group],
+                           t_evo, dt, record_every=10)
+        for (scn, dev), s in zip(group, map(Samples.concatenate,
+                                            zip(*blocks))):
+            H = scn.problem.matrices(s.y)[0]
             dev["integrator_H"] = float(np.max(np.abs(
-                traj.Hs - scn.hamiltonian_at(traj.times))))
+                H - scn.hamiltonian_at(s.t))))
             dev["integrator_state"] = float(np.max(np.abs(
-                traj.psis - scn.state_at(traj.times))))
+                s.psi - scn.state_at(s.t))))
     return [ValidationReport(scenario=scn.name, deviations=dev,
                              diagnostics=_min_time_diagnostics(scn))
             for scn, dev in zip(scenarios, devs)]

@@ -92,7 +92,7 @@ def _scenario_rows(scn, t_max: float, dt: float):
     """Header and a generator of rows sampling a closed-form scenario at
     t = min(i dt, t_max), i = 0..round(t_max / dt).  The grid is evaluated
     SAMPLE_BLOCK times per call of each time function."""
-    n = max(int(round(t_max / dt)), 1)
+    n = brach.grid_steps(t_max, dt)
 
     def rows():
         for start in range(0, n + 1, SAMPLE_BLOCK):
@@ -121,8 +121,8 @@ def _scenario_rows(scn, t_max: float, dt: float):
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     """Integrate one randomized control family; each block of
-    brach.integrate's samples (at most brach.SAMPLE_BLOCK rows) is turned
-    into rows as it is yielded."""
+    brach.integrate's samples of the one run (at most brach.SAMPLE_BLOCK
+    rows) is turned into rows as it is yielded."""
     n = params.pop("n", 3)
     if not isinstance(n, int):
         raise ValidationError(f"sun-family n must be an integer, got {n!r}")
@@ -133,9 +133,9 @@ def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     record_every = max(int(round(1e-3 / dt)), 1)
-    blocks = brach.integrate(fam.problem, fam.H0, fam.F0, psi0, t_max, dt,
-                             record_every=record_every)
-    return _header(n), (row for s in blocks for row in np.column_stack(
+    blocks = brach.integrate([(fam.problem, fam.H0, fam.F0, psi0)], t_max,
+                             dt, record_every=record_every)
+    return _header(n), (row for (s,) in blocks for row in np.column_stack(
         [s.t, s.psi.view(float), s.trH2, s.trHF, s.norm]).tolist())
 
 
@@ -157,6 +157,15 @@ def _write_text(lines, out) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _check_out(out) -> None:
+    """Reject, before any work, an --out that names a directory or lies in
+    a directory that does not exist."""
+    if out and (os.path.isdir(out)
+                or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValidationError(
+            f"--out {out!r} is not a file in an existing directory")
 
 
 def _json_lines(header, rows):
@@ -240,6 +249,7 @@ def cmd_run(args) -> int:
               f"(choose from {', '.join(SCENARIO_NAMES)})", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
     try:
+        _check_out(args.out)
         params = _parse_params(args.param)
         t_max, dt = _grid(args)
         if args.scenario == "su3-partitions":
@@ -277,11 +287,16 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    # numpy's generators take non-negative seeds only: reject one before
-    # any suite runs, as `run` does
-    if args.seed < 0:
-        print(f"bad parameters: seed must be non-negative, got {args.seed}",
-              file=sys.stderr)
+    # before any suite runs, as `run` does: a negative seed (numpy's
+    # generators take non-negative seeds only) and an --out that cannot be
+    # written
+    try:
+        if args.seed < 0:
+            raise ValidationError(
+                f"seed must be non-negative, got {args.seed}")
+        _check_out(args.out)
+    except ValidationError as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     env = report.run_suite(args.suite, seed=args.seed)
     if args.format == "json":
@@ -329,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{catalog.CENSUS_DT:g}")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--seed", type=int, default=42)
+    p_run.add_argument("--seed", type=int, default=42,
+                       help="seed of sun-family and su3-partitions; the "
+                            "closed-form scenarios ignore it "
+                            "(su4-heisenberg takes --param seed)")
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run a verification sweep")

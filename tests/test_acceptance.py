@@ -40,8 +40,9 @@ class TestTwoLevelMinimumTime:
         traj = brach.evolve(scn.problem, scn.hamiltonian_at(0.0),
                             scn.constraint_at(0.0), scn.psi0,
                             scn.min_time, dt=1e-4, record_every=50)
+        Hs = scn.problem.matrices(traj.y)[0]
         err = max(float(np.max(np.abs(H - scn.hamiltonian_at(t))))
-                  for t, H in zip(traj.times, traj.Hs))
+                  for t, H in zip(traj.t, Hs))
         assert err <= 1e-6
 
 
@@ -131,7 +132,8 @@ class TestExchangeBellState:
         traj = brach.evolve(scn.problem, H0, scn.constraint_at(0.0),
                             scn.psi0, scn.extras["bell_time"], dt=1e-3,
                             record_every=10)
-        drift = max(float(np.max(np.abs(H - H0))) for H in traj.Hs)
+        drift = max(float(np.max(np.abs(H - H0)))
+                    for H in scn.problem.matrices(traj.y)[0])
         assert drift <= 1e-10
 
 

@@ -89,6 +89,13 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
             yield sample(step, z)
 
 
+def one_run(problem, H0, F0, psi0, *grid):
+    """integrate's blocks of the one run (problem, H0, F0, psi0); the
+    grid and the input are checked at the call, as integrate checks them."""
+    blocks = brach.integrate([(problem, H0, F0, psi0)], *grid)
+    return (s for (s,) in blocks)
+
+
 def collect(blocks):
     """The Samples blocks a generator yields, and the DriftAbort it ends
     with (or None)."""
@@ -193,11 +200,11 @@ class TestRhs:
         prob = su2_problem()
         H = 0.7 * SX + 0.2 * SY
         F = 0.9 * SZ
-        rhs = brach.brach_rhs(H, F, prob)
+        dH, dF = brach.brach_rhs(H, F, prob)
         total = commutator(H, F) / 1j
-        assert np.max(np.abs((rhs.dH + rhs.dF) - total)) < 1e-12
-        assert np.max(np.abs(prob.project_constraint(rhs.dH))) < 1e-12
-        assert np.max(np.abs(prob.project_driver(rhs.dF))) < 1e-12
+        assert np.max(np.abs((dH + dF) - total)) < 1e-12
+        assert np.max(np.abs(prob.project_constraint(dH))) < 1e-12
+        assert np.max(np.abs(prob.project_driver(dF))) < 1e-12
 
     @pytest.mark.parametrize("kind", ["antidiagonal", "tridiagonal",
                                       "diagonal"])
@@ -228,10 +235,10 @@ class TestRhs:
                                         constraint_basis=C)
             H = sum(c * E for c, E in zip(rng.normal(size=len(D)), D))
             F = sum(c * E for c, E in zip(rng.normal(size=len(C)), C))
-            rhs = brach.brach_rhs(H, F, prob)
+            got_dH, got_dF = brach.brach_rhs(H, F, prob)
             dH, dF = matrix_rhs(prob, H, F)
-            assert np.max(np.abs(rhs.dH - dH)) < 1e-12, mask
-            assert np.max(np.abs(rhs.dF - dF)) < 1e-12, mask
+            assert np.max(np.abs(got_dH - dH)) < 1e-12, mask
+            assert np.max(np.abs(got_dF - dF)) < 1e-12, mask
             brackets = [commutator(Da, Cb) for Da in D for Cb in C]
             k = prob._terms[0]
             dh_zero, df_zero = not np.any(k < len(D)), not np.any(k >= len(D))
@@ -273,7 +280,8 @@ class TestEvolve:
         prob = su2_problem()
         traj = brach.evolve(prob, SY, Omega * SZ,
                             np.array([1, 0], dtype=complex), 1.5, dt=1e-3)
-        for t, H in zip(traj.times[::100], traj.Hs[::100]):
+        Hs = prob.matrices(traj.y)[0]
+        for t, H in zip(traj.t[::100], Hs[::100]):
             expected = (np.cos(2 * Omega * t) * SY
                         + np.sin(2 * Omega * t) * SX)
             assert np.max(np.abs(H - expected)) < 1e-8
@@ -331,9 +339,9 @@ class TestEvolve:
         for dt in (0.1, 0.05, 0.025):
             traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 2.0,
                                 dt=dt, record_every=10**6)
-            finals.append(np.concatenate([traj.Hs[-1].ravel(),
-                                          traj.Fs[-1].ravel(),
-                                          traj.psis[-1]]))
+            H, F = fam.problem.matrices(traj.y[-1])
+            finals.append(np.concatenate([H.ravel(), F.ravel(),
+                                          traj.psi[-1]]))
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert abs(np.log2(e1 / e2) - 4.0) < 0.3
@@ -346,7 +354,7 @@ class TestEvolve:
         exact = expm_h(fam.H0, 2.0) @ psi0
         errors = [np.max(np.abs(brach.evolve(fam.problem, fam.H0, fam.F0,
                                              psi0, 2.0, dt=dt,
-                                             record_every=10**6).psis[-1]
+                                             record_every=10**6).psi[-1]
                                 - exact))
                   for dt in (0.1, 0.05, 0.025)]
         orders = np.log2(np.divide(errors[:-1], errors[1:]))
@@ -358,14 +366,13 @@ class TestIntegrate:
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         args = (fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 7)
-        s = brach.Samples.concatenate(brach.integrate(*args))
-        traj = brach.evolve(*args)
-        assert s.step.tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 50]
-        Hs, Fs = fam.problem.matrices(s.y)
-        for name, value in (("times", s.t), ("Hs", Hs), ("Fs", Fs),
-                            ("psis", s.psi),
-                            *((d, getattr(s, d)) for d in brach._DRIFTS)):
-            np.testing.assert_array_equal(getattr(traj, name), value)
+        blocks = list(one_run(*args))
+        got = brach.evolve(*args)
+        assert [b.step.tolist() for b in blocks] == [
+            [0], [7, 14, 21, 28, 35, 42, 49, 50]]
+        for name, g, w in zip(brach.Samples._fields, got,
+                              brach.Samples.concatenate(blocks)):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", range(3, 9))
@@ -373,8 +380,7 @@ class TestIntegrate:
         fam = catalog.family_sun(n, kind)
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
-        s = brach.Samples.concatenate(brach.integrate(
-            fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 5))
+        s = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 5)
         Hs, Fs = fam.problem.matrices(s.y)
         for H, F, psi, trH2, trHF, norm in zip(Hs, Fs, s.psi, s.trH2, s.trHF,
                                                s.norm):
@@ -384,15 +390,16 @@ class TestIntegrate:
 
     def test_bad_input_raises_before_the_first_sample(self):
         with pytest.raises(ValidationError):
-            brach.integrate(su2_problem(), SZ, SX,
-                            np.array([1, 0], dtype=complex), 1.0, 1e-2)
+            brach.integrate([(su2_problem(), SZ, SX,
+                              np.array([1, 0], dtype=complex))], 1.0, 1e-2)
 
     @pytest.mark.parametrize("t_max, dt, record_every", [
         (1.0, 1e-2, 0), (1.0, 1e-2, -3), (1.0, 1e-2, 1.5),
         (math.inf, 1e-2, 1), (math.nan, 1e-2, 1), (-1.0, 1e-2, 1),
         (0.0, 1e-2, 1), (1e300, 1e-10, 1),
         (1.0, math.inf, 1), (1.0, math.nan, 1), (1.0, -1e-2, 1)])
-    @pytest.mark.parametrize("run", [brach.integrate, brach.evolve])
+    @pytest.mark.parametrize("run", [one_run, brach.evolve],
+                             ids=["integrate", "evolve"])
     def test_bad_grid_raises_at_call_time(self, run, t_max, dt, record_every):
         fam = catalog.family_sun(3, "tridiagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
@@ -434,7 +441,7 @@ class TestBlockGate:
         psi0[0] = 1.0
         args = (fam.problem, fam.H0, fam.F0, psi0, 0.6, 1e-3, record_every)
         assert 600 > 2 * brach.SAMPLE_BLOCK
-        got = list(brach.integrate(*args))
+        got = list(one_run(*args))
         want = list(reference_samples(*args))
         # one block for step 0 and one for each block of steps
         assert [(b.step[0], b.step[-1]) for b in got] == [
@@ -450,7 +457,7 @@ class TestBlockGate:
         fam = catalog.family_sun(3, "diagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
         args = (fam.problem, fam.H0, fam.F0, psi0, 300.0, 0.3, 1)
-        got, abort = collect(brach.integrate(*args))
+        got, abort = collect(one_run(*args))
         want, ref_abort = collect(reference_samples(*args))
         assert ref_abort is not None and ref_abort.diagnostics["step"] == 5
         assert_samples_equal(got, want)
@@ -468,8 +475,8 @@ class TestBlockGate:
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got, abort = collect(brach.integrate(fam.problem, fam.H0, fam.F0,
-                                                 psi0, 1000 * dt, dt, 1))
+            got, abort = collect(one_run(fam.problem, fam.H0, fam.F0, psi0,
+                                         1000 * dt, dt, 1))
         assert caught == []
         assert brach.Samples.concatenate(got).step.tolist() == [0]
         assert abort is not None and abort.diagnostics["step"] == 1
@@ -493,6 +500,8 @@ def own_abort(run, t_max, dt):
 
 
 class TestEvolveJoint:
+    """Several runs stepped together by integrate."""
+
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_mixed_members_match_each_evolve(self, record_every):
         # members of n = 2, 3, 4 and 5; 600 steps: step 0, then blocks
@@ -500,13 +509,14 @@ class TestEvolveJoint:
         runs = [catalog._integrator_run(build()) for build in (
             catalog.scenario_su2, catalog.scenario_su3_geodesic,
             catalog.scenario_su4_heisenberg)] + [family_run(5, "tridiagonal")]
-        joint = brach.evolve_joint(runs, 0.6, 1e-3, record_every)
-        assert len(joint) == len(runs)
-        for run, got in zip(runs, joint):
+        blocks = list(brach.integrate(runs, 0.6, 1e-3, record_every))
+        assert len(blocks) == 4
+        assert all(len(block) == len(runs) for block in blocks)
+        for run, got in zip(runs, map(brach.Samples.concatenate,
+                                      zip(*blocks))):
             want = brach.evolve(*run, 0.6, 1e-3, record_every)
-            for name in brach.Trajectory.__dataclass_fields__:
-                assert np.array_equal(getattr(got, name),
-                                      getattr(want, name)), name
+            for name, g, w in zip(brach.Samples._fields, got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
 
     def test_diverging_member_raises_its_own_abort(self):
         # su2 and so3 stay in range at dt 10; n=4 tridiagonal overflows
@@ -517,7 +527,7 @@ class TestEvolveJoint:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(brach.DriftAbort) as info:
-                brach.evolve_joint(runs, 10000.0, 10.0)
+                list(brach.integrate(runs, 10000.0, 10.0))
         assert caught == []
         assert str(info.value) == str(want)
         assert info.value.diagnostics == want.diagnostics
@@ -533,7 +543,7 @@ class TestEvolveJoint:
         runs = [family_run(n, kind) for kind, n in order]
         aborts = [own_abort(run, 1000 * dt, dt) for run in runs]
         with pytest.raises(brach.DriftAbort) as info:
-            brach.evolve_joint(runs, 1000 * dt, dt)
+            list(brach.integrate(runs, 1000 * dt, dt))
         assert str(info.value) == str(aborts[winner])
         assert info.value.diagnostics == aborts[winner].diagnostics
         assert info.value.diagnostics["step"] == min(
@@ -562,11 +572,11 @@ class TestEvolveJoint:
             H0 = np.pad(H0, (0, 1))
         runs = [family_run(5, "tridiagonal"), (problem, H0, F0, psi0)]
         with pytest.raises(ValidationError):
-            brach.evolve_joint(runs, 1.0, 1e-3)
+            brach.integrate(runs, 1.0, 1e-3)
 
     def test_no_runs(self):
         with pytest.raises(ValidationError, match="no runs"):
-            brach.evolve_joint([], 1.0, 1e-3)
+            brach.integrate([], 1.0, 1e-3)
 
 
 def reference_orthonormalize(basis, dim, label):

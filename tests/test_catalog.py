@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,11 +38,11 @@ class TestValidation:
     @pytest.mark.parametrize("name,builder", ALL_BUILDERS)
     def test_scenario_self_consistent(self, name, builder):
         rep = catalog.validate(builder())
-        assert rep.passed(1e-6), rep.deviations
+        assert rep.max_deviation() <= 1e-6, rep.deviations
 
     def test_su2_off_locus_parameters(self):
         rep = catalog.validate(catalog.scenario_su2(1.0, 0.7))
-        assert rep.passed(1e-6), rep.deviations
+        assert rep.max_deviation() <= 1e-6, rep.deviations
 
     @pytest.mark.parametrize("builder", [catalog.scenario_su2,
                                          catalog.scenario_su3_geodesic])
@@ -65,7 +66,7 @@ class TestValidation:
         # raised "dt must not exceed t_max"
         assert scn.period > 0
         rep = catalog.validate(scn)
-        assert rep.passed(1e-6), rep.deviations
+        assert rep.max_deviation() <= 1e-6, rep.deviations
 
 
 def _seeded(seed):
@@ -93,13 +94,13 @@ class TestValidateAll:
             catalog.scenario_su4_heisenberg(2.0, seed=seed)]
         solo = [catalog.validate(scn) for scn in scenarios]
         groups = []
-        evolve_joint = catalog.evolve_joint
+        integrate = catalog.integrate
 
-        def spy(runs, t_max, **kwargs):
+        def spy(runs, t_max, *args, **kwargs):
             groups.append((t_max, len(runs)))
-            return evolve_joint(runs, t_max, **kwargs)
+            return integrate(runs, t_max, *args, **kwargs)
 
-        monkeypatch.setattr(catalog, "evolve_joint", spy)
+        monkeypatch.setattr(catalog, "integrate", spy)
         reports = catalog.validate_all(scenarios)
         assert groups == [(2.0, 6), (np.pi / 2, 1)]
         assert [r.scenario for r in reports] == [s.scenario for s in solo]
@@ -268,7 +269,7 @@ class TestFrenet:
     def test_other_point_of_the_branch(self):
         scn = catalog.scenario_frenet(A=0.8, B=-0.3, C=0.3, N=0.8, eta=-1.2)
         rep = catalog.validate(scn)
-        assert rep.passed(1e-6), rep.deviations
+        assert rep.max_deviation() <= 1e-6, rep.deviations
 
     def test_eigvector_columns(self):
         scn = catalog.scenario_frenet()
@@ -338,9 +339,8 @@ class TestFamilies:
         nd = len(fam.problem._driver)
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
-        s = brach.Samples.concatenate(brach.integrate(
-            fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
-            record_every=100))
+        s = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
+                         record_every=100)
         assert len(s.step) == 11
         for y, t, psi in zip(s.y, s.t, s.psi):
             assert np.array_equal(y[:nd], s.y[0, :nd])
@@ -357,9 +357,8 @@ class TestFamilies:
         psi0 = np.zeros(n, dtype=complex)
         psi0[0] = 1.0
         propagator = catalog._frame_propagator(fam.F0, fam.H0)
-        s = brach.Samples.concatenate(brach.integrate(
-            fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
-            record_every=100))
+        s = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3,
+                         record_every=100)
         assert len(s.step) == 11
         for y, t, psi in zip(s.y, s.t, s.psi):
             assert np.array_equal(y[nd:], s.y[0, nd:])
@@ -406,6 +405,23 @@ class TestPartitions:
         cls, period, _ = catalog._classify_flow(problem, ys, dt)
         assert cls == "periodic"
         assert period == pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-10)
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (-1.0, 1e-3), (0.0, 1e-3), (1.0, -1e-3), (1.0, 0.0), (1.0, math.nan),
+        (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.inf)])
+    def test_bad_grid_rejected(self, t_max, dt):
+        # these once took no step (t_max 0) or died in numpy or Python with
+        # a negative dimension, a ZeroDivisionError or an OverflowError
+        with pytest.raises(ValidationError):
+            catalog.su3_partitions(t_max=t_max, dt=dt)
+
+    def test_grid_shorter_than_a_step_takes_one(self):
+        # round(0.4) is 0 steps: the census once classified all four pairs
+        # as constant without moving
+        results = catalog.su3_partitions(t_max=4e-4, dt=1e-3)
+        assert [r.classification for r in results] == [
+            "constant", "neither", "neither", "constant"]
+        assert results[1].max_excursion > 0.0
 
     @pytest.mark.parametrize("seed", [42, 7, 1001])
     def test_structural_classes(self, seed):

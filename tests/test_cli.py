@@ -150,6 +150,39 @@ class TestRunGrid:
         assert str(cli.MAX_STEPS) in capsys.readouterr().err
 
 
+def _no_work_before_the_out_check(*args, **kwargs):
+    raise AssertionError("started work before checking --out")
+
+
+class TestOutPath:
+    ARGV = {"su2": ["run", "--scenario", "su2"],
+            "su3-partitions": ["run", "--scenario", "su3-partitions"],
+            "verify": ["verify", "--suite", "gates"]}
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["su2", "su3-partitions", "verify"])
+    def test_unwritable_out_rejected_before_work(self, command, where,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        # once a traceback and exit 1, for su3-partitions and verify only
+        # after all the work was done
+        if command == "su2":
+            monkeypatch.setitem(catalog.SCENARIO_BUILDERS, "su2",
+                                _no_work_before_the_out_check)
+        elif command == "su3-partitions":
+            monkeypatch.setattr(catalog, "su3_partitions",
+                                _no_work_before_the_out_check)
+        else:
+            monkeypatch.setattr(cli.report, "run_suite",
+                                _no_work_before_the_out_check)
+        out = (tmp_path / "missing" / "out" if where == "missing-directory"
+               else tmp_path)
+        assert run_cli([*self.ARGV[command], "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert "bad parameters" in err and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCensusContract:
     def test_default_grid_is_the_census_grid(self, monkeypatch, tmp_path):
         seen = {}
