@@ -167,14 +167,6 @@ class ControlProblem:
         return np.einsum("k,kij->ij", coeffs, self._constraint)
 
 
-def joint_flow(problems: Sequence[ControlProblem]):
-    """dz/dt of several problems' flows stepped as one flat state: z holds
-    each problem's coordinates (h, f) in turn."""
-    terms = _joined([(p._terms, len(p._driver) + len(p._constraint))
-                     for p in problems])
-    return lambda z: _bilinear(terms, z)
-
-
 def _coordinates(problem: ControlProblem, H, F) -> np.ndarray:
     """y = (h, f) of the checked H and F: finite Hermitian dim x dim
     matrices that lie in their subspaces, i.e. matrices(y) returns them to
@@ -207,6 +199,31 @@ def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float,
+             psi_parts) -> np.ndarray:
+    """The RK4 path of the bilinear system held as the term list terms (see
+    _bilinear): an (n_steps + 1, len(z)) array whose row s is the state
+    after s steps of dt, row 0 being z.  After each step, every unit vector
+    z[lo:hi] of the (lo, hi) pairs psi_parts whose norm has moved by more
+    than RENORM_THRESHOLD is renormalized.  A state that overflows gives
+    non-finite rows, without a numpy warning."""
+    def flow(v):
+        return _bilinear(terms, v)
+
+    ys = np.empty((n_steps + 1, len(z)))
+    ys[0] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, n_steps + 1):
+            z = rk4_step(flow, z, dt)
+            for lo, hi in psi_parts:
+                w = z[lo:hi]
+                nrm = math.sqrt(w @ w)
+                if abs(nrm - 1.0) > RENORM_THRESHOLD:
+                    w /= nrm
+            ys[s] = z
+    return ys
 
 
 class Samples(NamedTuple):
@@ -306,7 +323,6 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
             drifts = np.stack([np.abs(norm - 1.0),
                                np.abs(trH2 - trH2_0) / trH2_scale,
                                np.abs(trHF), eig_d], axis=1)
-        steps = np.asarray(steps)
         block = Samples(steps, steps * dt, Y,
                         np.ascontiguousarray(W).view(complex), trH2, trHF,
                         norm, *drifts.T)
@@ -343,11 +359,12 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
     Returns a generator of blocks, each one Samples per run, whose rows are
     step 0, every record_every-th step and the last of grid_steps(t_max,
     dt).  The runs are one flat state, each run's z = (h, f, psi) at its
-    offset (psi as interleaved (Re, Im) pairs), stepped through one term
-    list: each problem's flow terms and those of dpsi = -i H psi.  H and F
-    stay in their subspaces exactly.  A run's terms write only its own
-    part, and its psi is renormalized (norm drift beyond 1e-12) and its
-    rows gated on that part, so its samples are the ones it gets alone.
+    offset (psi as interleaved (Re, Im) pairs), stepped by rk4_path through
+    one term list: each problem's flow terms and those of dpsi = -i H psi,
+    SAMPLE_BLOCK steps a call.  H and F stay in their subspaces exactly.
+    A run's terms write only its own part, and its psi is renormalized
+    (norm drift beyond 1e-12) and its rows gated on that part, so its
+    samples are the ones it gets alone.
     Step 0 is gated first, then the states recorded over each SAMPLE_BLOCK
     steps together (one stacked eigvalsh), so a sample lags the state by
     at most SAMPLE_BLOCK steps.
@@ -374,11 +391,7 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
         psi_parts.append((lo + m, lo + len(z0)))
         lo += len(z0)
 
-    def rhs(z):
-        return _bilinear(terms, z)
-
-    def gated(steps, zs):
-        Z = np.array(zs)
+    def gated(steps, Z):
         # a run's columns are copied whole, so its gate sees the layout of
         # a run stepped alone (no copy when there is one run)
         results = [gate(steps, np.ascontiguousarray(Z[:, c]))
@@ -393,24 +406,14 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
 
     def blocks():
         z = np.concatenate([z0 for z0, _, _, _ in members])
-        yield from gated([0], [z])
+        yield from gated(np.zeros(1, dtype=int), z[None])
         for start in range(1, n_steps + 1, SAMPLE_BLOCK):
-            steps, zs = [], []
-            # no yield in here: the error state would leak to the consumer
-            with np.errstate(over="ignore", invalid="ignore"):
-                for step in range(start, min(start + SAMPLE_BLOCK,
-                                             n_steps + 1)):
-                    z = rk4_step(rhs, z, dt)
-                    for lo, hi in psi_parts:
-                        w = z[lo:hi]
-                        nrm = math.sqrt(w @ w)
-                        if abs(nrm - 1.0) > RENORM_THRESHOLD:
-                            w /= nrm
-                    if step % record_every == 0 or step == n_steps:
-                        steps.append(step)
-                        zs.append(z)
-            if steps:
-                yield from gated(steps, zs)
+            steps = np.arange(start, min(start + SAMPLE_BLOCK, n_steps + 1))
+            path = rk4_path(terms, z, len(steps), dt, psi_parts)
+            z = path[-1]
+            keep = (steps % record_every == 0) | (steps == n_steps)
+            if keep.any():
+                yield from gated(steps[keep], path[1:][keep])
 
     return blocks()
 

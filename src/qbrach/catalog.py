@@ -18,8 +18,8 @@ import numpy as np
 
 from .matcore import (ValidationError, check_hermitian, hermitian_eig,
                       ordered_exponential, trace_inner)
-from .brach import (ControlProblem, Samples, grid_steps, integrate,
-                    joint_flow, rk4_step)
+from .brach import (DRIFT_ABORT, ControlProblem, DriftAbort, Samples,
+                    _joined, grid_steps, integrate, rk4_path, rk4_step)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -659,14 +659,30 @@ def _h_distances(problem, ys, y_ref):
         for i in range(0, len(ys), _BLOCK)])
 
 
-def _rk4_path(flow, y, n_steps, dt):
-    """RK4 path of dy/dt = flow(y): row s holds y after s steps, row 0 is
-    y."""
-    ys = np.empty((n_steps + 1, len(y)))
-    ys[0] = y
-    for s in range(1, n_steps + 1):
-        ys[s] = y = rk4_step(flow, y, dt)
-    return ys
+def _check_drift(problems, paths, dt) -> None:
+    """Raise DriftAbort at the first row of the census path (pair i in
+    columns 8i to 8i + 8) where a pair's state is not finite or its
+    Tr H^2 = |h|^2 has drifted from its start by more than DRIFT_ABORT,
+    relatively (the first such pair on a tie).  The flow conserves Tr H^2,
+    so this catches a path that has diverged, not every grid too coarse to
+    classify on."""
+    Z = paths.reshape(len(paths), len(problems), 8)
+    hs = [Z[:, i, :len(p._driver)] for i, p in enumerate(problems)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trH2 = np.stack([np.einsum("sk,sk->s", h, h) for h in hs], axis=1)
+        drift = np.abs(trH2 - trH2[0]) / np.maximum(trH2[0], 1e-30)
+        # a sum is not finite if one of its terms is not
+        finite = np.isfinite(np.einsum("sik->si", Z))
+    # NaN compares False, so a row passes only if every drift is in range
+    ok = (drift <= DRIFT_ABORT) & finite
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if bad.size:
+        s = int(bad[0])
+        i = int(np.argmin(ok[s]))
+        raise DriftAbort(
+            f"census pair {i + 1}: Tr H^2 drift beyond {DRIFT_ABORT:g} or a "
+            f"non-finite state at t={s * dt:.6f}",
+            {"t": s * dt, "step": s, "trH2_drift": float(drift[s, i])})
 
 
 def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
@@ -726,7 +742,8 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     The four pattern pairs are integrated together on the coarse grid and
     each H(t) classified as constant, periodic (recurrence search on
     ||H(t) - H(0)||), or neither.  A bad grid (see brach.grid_steps)
-    raises ValidationError before any work.
+    raises ValidationError before any work, and a path that diverges (see
+    _check_drift) raises DriftAbort before any pair is classified.
     """
     n_steps = grid_steps(t_max, dt)
     rng = np.random.default_rng(seed)
@@ -780,10 +797,12 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
 
     # Every pair spans su(3), so its coordinates (h, f) are 8 numbers: one
     # RK4 path steps the four pairs as one flat state, pair i at offset 8i.
-    paths = _rk4_path(joint_flow([p for _, p, _, _ in pairs]),
-                      np.concatenate([p.coefficients(H0, F0)
-                                      for _, p, H0, F0 in pairs]),
-                      n_steps, dt)
+    problems = [p for _, p, _, _ in pairs]
+    paths = rk4_path(_joined([(p._terms, 8) for p in problems]),
+                     np.concatenate([p.coefficients(H0, F0)
+                                     for _, p, H0, F0 in pairs]),
+                     n_steps, dt, ())
+    _check_drift(problems, paths, dt)
     # pair i reads the view paths[:, 8i:8i+8]: a copy per pair would add to
     # the peak memory the whole path already sets
     return [PartitionResult(i + 1, desc, H0, F0, problem,

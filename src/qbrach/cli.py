@@ -70,6 +70,8 @@ def _parse_params(pairs) -> dict:
         if "=" not in item:
             raise ValidationError(f"--param expects key=value, got {item!r}")
         key, _, val = item.partition("=")
+        if key in out:
+            raise ValidationError(f"--param {key} is given twice")
         value = out[key] = _parse_value(val)
         if isinstance(value, (float, complex)) and not np.isfinite(value):
             raise ValidationError(f"{key} is not finite")
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="sample a scenario trajectory")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--param", action="append", metavar="k=v",
-                       help="scenario parameter override (repeatable)")
+                       help="scenario parameter override (repeatable, "
+                            "once per key)")
     p_run.add_argument("--t-max", type=float, default=None,
                        help=f"default {RUN_T_MAX:g}; su3-partitions: "
                             f"{catalog.CENSUS_T_MAX:g}")

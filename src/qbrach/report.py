@@ -44,10 +44,11 @@ class ReportEnvelope:
     version: str = __version__
     records: list = field(default_factory=list)
 
-    def add(self, id_: str, residual: float, tolerance: float | None = None,
-            reported_only: bool = False):
+    def add(self, id_: str, residual: float, tolerance: float | None = None):
+        """Record residual as pass or fail against tolerance, or as
+        reported-only when there is no tolerance."""
         residual = float(residual)
-        if reported_only:
+        if tolerance is None:
             status = REPORTED
         else:
             status = PASS if residual <= tolerance else FAIL
@@ -90,8 +91,7 @@ def verify_gates() -> ReportEnvelope:
         for entry in cat:
             res = gates.verify_unitary(_build_gate(entry))
             if entry.printed_nonunitary:
-                env.add(f"{cat_name}-nonunitary-{entry.name}-printed", res,
-                        reported_only=True)
+                env.add(f"{cat_name}-nonunitary-{entry.name}-printed", res)
             else:
                 env.add(f"{cat_name}-unitary-{entry.name}", res, 1e-12)
 
@@ -114,9 +114,8 @@ def verify_gates() -> ReportEnvelope:
     env.add("eigenreflection-projector-M1", erep["projector_form_M1"], 1e-12)
     env.add("eigenreflection-projector-M3", erep["projector_form_M3"], 1e-12)
     env.add("eigenreflection-projector-M2-printed",
-            erep["projector_form_M2"], reported_only=True)
-    env.add("eigenreflection-sum-identity", erep["sum_identity"],
-            reported_only=True)
+            erep["projector_form_M2"])
+    env.add("eigenreflection-sum-identity", erep["sum_identity"])
 
     for family in ("D", "Q", "J"):
         worst = 0.0
@@ -135,12 +134,11 @@ def verify_gates() -> ReportEnvelope:
     env.add("dft-de-moivre-k2", d["de_moivre_k2"], 1e-12)
     env.add("dft-de-moivre-1-minus-j2", d["de_moivre_1_minus_j2"], 1e-12)
     env.add("dft-de-moivre-k3-corrected", d["de_moivre_k3_corrected"], 1e-12)
-    env.add("dft-de-moivre-k3-printed", d["de_moivre_k3_printed"],
-            reported_only=True)
+    env.add("dft-de-moivre-k3-printed", d["de_moivre_k3_printed"])
     env.add("dft-H-W-two-parameter-form", d["HW_two_parameter_form"], 1e-12)
     for key in ("W", "Q", "J"):
         env.add(f"dft-split-{key}-nonunitary-printed",
-                d[f"{key}_unitary_residual"], reported_only=True)
+                d[f"{key}_unitary_residual"])
 
     qa = gates.quarter_angle_gates(0.3)
     r = qa["report"]
@@ -148,10 +146,9 @@ def verify_gates() -> ReportEnvelope:
     env.add("quarter-angle-Q0-squared", r["Q0_squared"], 1e-12)
     env.add("quarter-angle-D0-squared", r["D0_squared"], 1e-12)
     env.add("quarter-angle-J0-fourth", r["J0_fourth"], 1e-12)
-    env.add("quarter-angle-D-commutator-printed", r["D_commutator_printed"],
-            reported_only=True)
+    env.add("quarter-angle-D-commutator-printed", r["D_commutator_printed"])
     env.add("quarter-angle-D-anticommutator-printed",
-            r["D_anticommutator_printed"], reported_only=True)
+            r["D_anticommutator_printed"])
 
     closure = gates.group_closure(gates.dihedral_generators())
     env.add("dihedral-order-six", abs(closure["order"] - 6), 0.5)
@@ -171,7 +168,7 @@ def verify_gates() -> ReportEnvelope:
     env.add("triangular-commutator-exact",
             tri["commutator_direct_residual"], 1e-12)
     env.add("triangular-commutator-printed",
-            tri["commutator_printed_residual"], reported_only=True)
+            tri["commutator_printed_residual"])
 
     worst = 0.0
     for n in range(2, 9):
@@ -206,8 +203,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
     r_bQ = special.residue_at_origin(RationalFunction(polys["b_Q"],
                                                       polys["r_Q"]))
     # printed value -1/2 vs exact computation from the printed coefficients
-    env.add("residue-bQ-printed", abs(float(r_bQ["exact"]) - (-0.5)),
-            reported_only=True)
+    env.add("residue-bQ-printed", abs(float(r_bQ["exact"]) - (-0.5)))
 
     worst = 0.0
     for m in range(65):
@@ -227,8 +223,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
     env.add("bessel-negative-order-symmetry",
             abs(special.bessel_J(-3, 1.5) + special.bessel_J(3, 1.5)), 1e-10)
     env.add("bessel-inner-product-printed",
-            special.bessel_inner_product_probe()["residual"],
-            reported_only=True)
+            special.bessel_inner_product_probe()["residual"])
 
     t = 3.0
     C = special.spinwave_lattice_oracle(t)
@@ -241,8 +236,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
     # printed closed form (-i)^dq J_dq(2t): conjugate phase for odd dq
     env.add("spinwave-closed-form-phase-printed",
             abs(special.greens_spinwave(1, t)
-                - (-1j) * special.bessel_J(1, 2 * t)),
-            reported_only=True)
+                - (-1j) * special.bessel_J(1, 2 * t)))
     # lattice recursion on the energy-shifted kernel
     h = 1e-5
     worst = 0.0
@@ -271,8 +265,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
             1e-6)
     env.add("cosine-frame-first-order-corrected",
             frame["first_order_corrected"], 1e-6)
-    env.add("cosine-frame-first-order-printed", frame["first_order_printed"],
-            reported_only=True)
+    env.add("cosine-frame-first-order-printed", frame["first_order_printed"])
 
     L = special.laplace_cos_poly(polys["q"])
     worst = max(abs(L(s) - special.laplace_numeric(polys["q"], s))
@@ -280,8 +273,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
     env.add("laplace-q-quadrature", worst, 1e-8)
     # printed asymptotic form b_q(s)/s^8 vs exact transform, at s = 10
     env.add("laplace-q-vs-printed-bq-over-s8",
-            abs(L(10.0) - polys["b_q"](10.0) / 10.0 ** 8),
-            reported_only=True)
+            abs(L(10.0) - polys["b_q"](10.0) / 10.0 ** 8))
 
     w = special.weighted_integrals()
     env.add("weighted-chebyshev-integral",
@@ -296,7 +288,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
             abs(float(w["marginal_limit"]) + 144.0), 0.0)
 
     env.add("sec-tan-identity-printed",
-            special.sec_tan_identity_probe()["residual"], reported_only=True)
+            special.sec_tan_identity_probe()["residual"])
     return env
 
 
@@ -316,8 +308,7 @@ def verify_catalog(seed: int = 42) -> ReportEnvelope:
     scn = catalog.scenario_su4_heisenberg(1.0, seed=seed)
     env.add("su4-min-time-printed",
             abs(scn.extras["printed_min_time_claim"]
-                - scn.extras["bell_time"]),
-            reported_only=True)
+                - scn.extras["bell_time"]))
     for n in range(2, 7):
         fam = catalog.family_sun(n, "antidiagonal", seed=seed)
         dev = max(abs(np.trace(fam.H0 @ fam.H0).real / 2.0 - 1.0),

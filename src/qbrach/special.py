@@ -502,10 +502,8 @@ def laplace_numeric(P: Polynomial, s: float) -> float:
     equal panels of LAPLACE_PANEL_NODES nodes, so each panel spans at
     most about 9 radians of cos(7 theta) for s >= 1 and the rule is
     converged to round-off."""
-    vals = P.as_float_coeffs()[::-1]
-
     def f(th):
-        return np.polyval(vals, np.cos(th)) * np.exp(-s * th)
+        return P(np.cos(th)) * np.exp(-s * th)
     return float(_gauss_legendre(f, 0.0, LAPLACE_DECAYS / s,
                                  LAPLACE_PANEL_NODES, LAPLACE_PANELS))
 
@@ -559,10 +557,8 @@ def residue_at_origin(R: RationalFunction) -> dict:
         radius = min(radius, 0.5 * closest)
     z = radius * np.exp(2j * np.pi * np.arange(RESIDUE_NODES)
                         / RESIDUE_NODES)
-    num_z = np.polyval(R.numerator.as_float_coeffs()[::-1], z)
-    den_z = np.polyval(R.denominator.as_float_coeffs()[::-1], z)
     # (1/2pi i) oint f = mean of z f(z) over the nodes
-    contour = complex(np.mean(z * num_z / den_z))
+    contour = complex(np.mean(z * R.numerator(z) / R.denominator(z)))
     return {"exact": exact, "quadrature": contour,
             "agreement": abs(contour - float(exact)),
             "radius": radius}
@@ -577,8 +573,7 @@ def gauss_chebyshev_integral(P: Polynomial) -> float:
     rule, exact for deg <= 31."""
     k = np.arange(1, 17)
     x = np.cos((2 * k - 1) * np.pi / 32)
-    vals = np.polyval(P.as_float_coeffs()[::-1], x)
-    return float(np.pi / 16 * np.sum(vals))
+    return float(np.pi / 16 * np.sum(P(x)))
 
 
 def weight_normalization(alpha: float) -> tuple:

@@ -250,6 +250,15 @@ class TestDiscrepancyLedger:
             if r.id in self.REQUIRED:
                 assert r.status not in ("pass", "fail")
 
+    def test_a_record_without_tolerance_is_reported_only(self):
+        # one value decides the status: add(id, r) once raised TypeError
+        env = report.ReportEnvelope("probe")
+        env.add("no-tolerance", 5.0)
+        env.add("within", 0.0, 0.0)
+        env.add("beyond", 2.0, 1.0)
+        assert [(r.status, r.tolerance) for r in env.records] == [
+            ("reported-only", None), ("pass", 0.0), ("fail", 1.0)]
+
 
 def test_verify_runs_without_mpmath():
     # a None entry in sys.modules makes any import of mpmath raise

@@ -431,6 +431,34 @@ class TestIntegrate:
         assert 1e-5 < traj.eigenvalue_drift[-1] < brach.DRIFT_ABORT
 
 
+class TestRk4Path:
+    def test_matches_a_step_and_renormalize_loop(self):
+        # two runs as one flat state, as integrate joins them; at dt 5e-2
+        # RK4 moves each psi's norm past RENORM_THRESHOLD
+        dt = 5e-2
+        members = [brach._member(*family_run(n, kind), dt)
+                   for n, kind in ((3, "tridiagonal"), (4, "antidiagonal"))]
+        terms = brach._joined([(t, len(z0)) for z0, t, _, _ in members])
+        z = np.concatenate([z0 for z0, _, _, _ in members])
+        psi_parts, lo = [], 0
+        for z0, _, m, _ in members:
+            psi_parts.append((lo + m, lo + len(z0)))
+            lo += len(z0)
+        path = brach.rk4_path(terms, z, 40, dt, psi_parts)
+        assert path.shape == (41, len(z))
+        assert np.array_equal(path[0], z)
+        renormalized = 0
+        for s in range(1, 41):
+            z = brach.rk4_step(lambda v: brach._bilinear(terms, v), z, dt)
+            for lo, hi in psi_parts:
+                nrm = math.sqrt(z[lo:hi] @ z[lo:hi])
+                if abs(nrm - 1.0) > brach.RENORM_THRESHOLD:
+                    z[lo:hi] /= nrm
+                    renormalized += 1
+            assert np.array_equal(path[s], z), s
+        assert renormalized > 0
+
+
 class TestBlockGate:
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("n", [4, 8])

@@ -17,21 +17,25 @@ def _pair2_path(t_max, dt, f_scale=1.0):
     its problem and its coarse path."""
     pair2 = catalog.su3_partitions(t_max=dt, dt=dt, seed=42)[1]
     y0 = pair2.problem.coefficients(pair2.H0, f_scale * pair2.F0)
-    return pair2.problem, catalog._rk4_path(pair2.problem.flow, y0,
-                                            int(round(t_max / dt)), dt)
+    return pair2.problem, brach.rk4_path(pair2.problem._terms, y0,
+                                         int(round(t_max / dt)), dt, ())
 
 
 def _clock(hdot, t_max, dt):
     """A flow whose driver coordinates h follow dh/dt = hdot(t), integrated
     from h = 0: the state is (h, t) and H = diag(h), so |H - H0| is
-    max |h - h0|.  Returns the flow's problem and its coarse path."""
+    max |h - h0|.  Returns the flow's problem and its coarse path, stepped
+    by brach.rk4_step (the flow depends on t, so it has no bilinear term
+    list for brach.rk4_path)."""
     nd = len(hdot(0.0))
     problem = SimpleNamespace(_driver=np.array([np.diag(e)
                                                 for e in np.eye(nd)]),
                               dim=nd,
                               flow=lambda y: np.append(hdot(y[-1]), 1.0))
-    return problem, catalog._rk4_path(problem.flow, np.zeros(nd + 1),
-                                      int(round(t_max / dt)), dt)
+    ys = [np.zeros(nd + 1)]
+    for _ in range(int(round(t_max / dt))):
+        ys.append(brach.rk4_step(problem.flow, ys[-1], dt))
+    return problem, np.array(ys)
 
 
 class TestValidation:
@@ -423,6 +427,41 @@ class TestPartitions:
             "constant", "neither", "neither", "constant"]
         assert results[1].max_excursion > 0.0
 
+    @pytest.mark.parametrize("dt", [1.0, 10.0])
+    def test_diverging_path_aborts(self, dt):
+        # Tr H^2 = |h|^2 is conserved, but at these steps RK4 leaves it:
+        # pairs 2 and 3 were once classified (as neither) all the same
+        with pytest.raises(brach.DriftAbort) as info:
+            catalog.su3_partitions(t_max=50.0, dt=dt)
+        d = info.value.diagnostics
+        assert set(d) == {"t", "step", "trH2_drift"}
+        assert d["t"] == d["step"] * dt and d["step"] >= 1
+        assert not d["trH2_drift"] <= brach.DRIFT_ABORT
+        assert str(info.value).startswith("census pair 2: ")
+
+    def test_first_bad_row_aborts(self):
+        # a path that holds still, except pair 1's h doubled from row 5 and
+        # a NaN in pair 3's f (Tr H^2 stays put) from row 3
+        results = catalog.su3_partitions(t_max=1e-3, dt=1e-3)
+        problems = [r.problem for r in results]
+        y0 = np.concatenate([p.coefficients(r.H0, r.F0)
+                             for p, r in zip(problems, results)])
+        paths = np.tile(y0, (8, 1))
+        paths[5:, :2] *= 2
+        catalog._check_drift(problems, paths[:5], 0.5)
+        paths[3:, 8 * 2 + 7] = np.nan
+        with pytest.raises(brach.DriftAbort) as info:
+            catalog._check_drift(problems, paths, 0.5)
+        assert info.value.diagnostics == {"t": 1.5, "step": 3,
+                                          "trH2_drift": 0.0}
+        assert str(info.value).startswith("census pair 3: ")
+        paths[3:, 8 * 2 + 7] = y0[8 * 2 + 7]
+        with pytest.raises(brach.DriftAbort) as info:
+            catalog._check_drift(problems, paths, 0.5)
+        assert info.value.diagnostics == {"t": 2.5, "step": 5,
+                                          "trH2_drift": 3.0}
+        assert str(info.value).startswith("census pair 1: ")
+
     @pytest.mark.parametrize("seed", [42, 7, 1001])
     def test_structural_classes(self, seed):
         # (some term writes a driver coordinate, some term writes a
@@ -458,9 +497,9 @@ class TestPartitions:
         assert [r.classification for r in results] == \
             ["constant", "periodic", "periodic", "constant"]
         for r, ys in zip(results, paths):
-            alone = catalog._rk4_path(r.problem.flow,
-                                      r.problem.coefficients(r.H0, r.F0),
-                                      15000, 1e-3)
+            alone = brach.rk4_path(r.problem._terms,
+                                   r.problem.coefficients(r.H0, r.F0),
+                                   15000, 1e-3, ())
             np.testing.assert_allclose(ys, alone, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("miss,classification",

@@ -39,6 +39,15 @@ class TestExitCodes:
     def test_malformed_param(self, capsys):
         assert run_cli(["run", "--scenario", "su2", "--param", "k"]) == 65
 
+    def test_repeated_param_key_rejected(self, monkeypatch, capsys):
+        # the last value once won silently: n=4 then n=5 ran n=5
+        monkeypatch.setattr(catalog, "family_sun", _must_not_run)
+        assert run_cli(["run", "--scenario", "sun-family", "--param", "n=4",
+                        "--param", "n=5", "--t-max", "0.01"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad parameters: --param n is given twice" in err
+
     @pytest.mark.parametrize("scenario, param", [
         ("sun-family", "n=abc"), ("sun-family", "n=4.7"),
         ("su2", "eps0=abc"), ("so3", "eps=x"), ("su3-elliptic", "Delta0=1"),
@@ -324,6 +333,21 @@ class TestDriftAbort:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("t,Re c_1")
         assert len(lines) >= 2 and lines[1].startswith("0,")
+
+
+class TestCensusDriftAbort:
+    @pytest.mark.parametrize("dt", ["1", "10"])
+    def test_diverging_census_exits_2(self, dt, tmp_path, capsys):
+        # on the default 50-unit grid these once classified diverged paths
+        # and exited 0: at dt 10 pair 2 reported an excursion of 9.85e7,
+        # although |H - H0| <= 2 |h0| while Tr H^2 = |h|^2 is conserved
+        out = tmp_path / "census.json"
+        assert run_cli(["run", "--scenario", "su3-partitions", "--dt", dt,
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("drift abort: census pair 2: Tr H^2 drift")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunJson:

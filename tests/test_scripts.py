@@ -1,5 +1,5 @@
 """The example scripts run as programs: exit status 0 and the line layout
-they document."""
+they document, or the exit status and one-line message of an error."""
 
 import collections
 import json
@@ -9,16 +9,22 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], capture_output=True, text=True, env=env,
                           timeout=120)
+
+
+def run_script(name, *args):
+    proc = script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -32,6 +38,17 @@ def test_partition_census():
                             r" +period: \S+ +max excursion: \S+", body)
     # one time unit is shorter than every recurrence period
     assert "periodic" not in "".join(lines)
+
+
+@pytest.mark.parametrize("dt, code, head", [("0", 65, "bad parameters: "),
+                                              ("1", 2, "drift abort: ")])
+def test_partition_census_error_exits(dt, code, head):
+    # a bad grid once ended in a traceback and exit 1, and a diverging
+    # path was classified with exit 0
+    proc = script("partition_census.py", "--dt", dt)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(head) and proc.stderr.count("\n") == 1
 
 
 def test_minimum_time_transfer():

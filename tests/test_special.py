@@ -40,6 +40,17 @@ class TestPolynomial:
         b = Polynomial([1, 1]) * Polynomial([3, 1])
         assert (sp.poly_gcd(a, b) - Polynomial([1, 1])).is_zero()
 
+    def test_call_on_arrays_is_horner_in_floats(self):
+        # the quadratures evaluate P(x) on node arrays: the same Horner loop
+        # as np.polyval on the float coefficients, bit for bit
+        x = np.linspace(-1.5, 1.5, 1000)
+        z = 0.7 * np.exp(2j * np.pi * np.arange(512) / 512)
+        for name, P in sp.ell_polys()["polys"].items():
+            coeffs = P.as_float_coeffs()[::-1]
+            for nodes in (x, z):
+                assert np.array_equal(P(nodes), np.polyval(coeffs, nodes)), \
+                    name
+
     def test_rational_reduction(self):
         r = RationalFunction(Polynomial([0, 1, 1]),
                              Polynomial([0, 2, 2])).reduced()
