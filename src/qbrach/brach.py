@@ -23,6 +23,9 @@ from .matcore import ValidationError, check_hermitian, check_state
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
+# grid_steps rejects a grid of more than this many steps (t_max / dt): 20x
+# the longest documented run, the census at t_max 50, dt 1e-3
+MAX_STEPS = 10**6
 # integrate gates the states recorded over this many steps in one call
 SAMPLE_BLOCK = 256
 
@@ -341,16 +344,16 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
 
 
 def grid_steps(t_max: float, dt: float) -> int:
-    """The number of steps of dt that a run to t_max takes:
-    round(t_max / dt), and at least one.  dt must be positive and finite
-    and t_max positive with t_max / dt finite; a bad grid raises
-    ValidationError."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if not (t_max > 0 and math.isfinite(t_max / dt)):
-        raise ValidationError(
-            f"t_max must be positive with t_max / dt finite, got {t_max!r}")
-    return max(int(round(t_max / dt)), 1)
+    """The number of steps of dt that a run to t_max takes, round(t_max /
+    dt).  t_max and dt must be finite, with dt > 0, t_max >= dt and at most
+    MAX_STEPS steps; a bad grid raises ValidationError."""
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValidationError("t_max and dt must be finite")
+    if dt <= 0 or t_max < dt:
+        raise ValidationError("need dt > 0 and t_max >= dt")
+    if t_max / dt > MAX_STEPS:
+        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
+    return int(round(t_max / dt))
 
 
 def integrate(runs, t_max: float, dt: float, record_every: int = 1):

@@ -12,6 +12,7 @@ brachistochrone integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -570,6 +571,37 @@ class FamilyInstance:
     problem: ControlProblem
 
 
+def _split(n, in_driver):
+    """The (driver, constraint) bases of a split of su(n): its standard
+    basis, _cartan(n) then _sym and _asym of each pair i < j, each element
+    in the driver when in_driver(i, j).  in_driver is asked once per
+    element: with (k, k) for _cartan(n)[k] and with (i, j) for both
+    generators of the pair.  Each part keeps basis order."""
+    basis = [((k, k), M) for k, M in enumerate(_cartan(n))] + [
+        ((i, j), M) for i in range(n) for j in range(i + 1, n)
+        for M in (_sym(n, i, j), _asym(n, i, j))]
+    parts = ([], [])
+    for (i, j), M in basis:
+        parts[not in_driver(i, j)].append(M)
+    return parts
+
+
+def _combine(n, coeffs, basis):
+    """The n x n matrix sum of c * g over the coefficients and the basis
+    (zero for an empty basis)."""
+    return sum((c * g for c, g in zip(coeffs, basis)),
+               np.zeros((n, n), dtype=complex))
+
+
+# family_sun's kinds as sparsity patterns: at dimension n, a kind's split is
+# _split(n, partial(pattern, n))
+_FAMILY_PATTERNS = {
+    "antidiagonal": lambda n, i, j: i == j or i + j == n - 1,
+    "tridiagonal": lambda n, i, j: j == i + 1,
+    "diagonal": lambda n, i, j: i == j,
+}
+
+
 def family_sun(n: int, kind: str, seed: int = 42) -> FamilyInstance:
     """Build one of the three sparsity-pattern control families.
 
@@ -586,41 +618,14 @@ def family_sun(n: int, kind: str, seed: int = 42) -> FamilyInstance:
     """
     if not (2 <= n <= 8):
         raise ValidationError("n must be between 2 and 8")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    anti = {(i, j) for (i, j) in pairs if i + j == n - 1}
-    near = {(i, j) for (i, j) in pairs if j == i + 1}
-    far = set(pairs) - near
-    cart = _cartan(n)
-
-    def couple(ps):
-        out = []
-        for (i, j) in sorted(ps):
-            out.append(_sym(n, i, j))
-            out.append(_asym(n, i, j))
-        return out
-
-    if kind == "antidiagonal":
-        driver = cart + couple(anti)
-        constraint = couple(set(pairs) - anti)
-    elif kind == "tridiagonal":
-        driver = couple(near)
-        constraint = cart + couple(far)
-    elif kind == "diagonal":
-        driver = cart
-        constraint = couple(pairs)
-    else:
+    if kind not in _FAMILY_PATTERNS:
         raise ValidationError(f"unknown family kind: {kind}")
-
+    driver, constraint = _split(n, partial(_FAMILY_PATTERNS[kind], n))
     rng = np.random.default_rng(seed)
     hc = rng.normal(size=len(driver))
     hc *= np.sqrt(2.0) / np.linalg.norm(hc)      # Tr(H^2)/2 = 1
     fc = rng.normal(scale=0.6, size=len(constraint))
-    H0 = np.zeros((n, n), dtype=complex)
-    for c, g in zip(hc, driver):
-        H0 += c * g
-    F0 = np.zeros((n, n), dtype=complex)
-    for c, g in zip(fc, constraint):
-        F0 += c * g
+    H0, F0 = _combine(n, hc, driver), _combine(n, fc, constraint)
     problem = ControlProblem(dim=n, driver_basis=driver,
                              constraint_basis=constraint)
     return FamilyInstance(n=n, kind=kind, H0=H0, F0=F0, problem=problem)
@@ -630,6 +635,19 @@ def family_sun(n: int, kind: str, seed: int = 42) -> FamilyInstance:
 # 10.88 and 14.23 at seed 42)
 CENSUS_T_MAX = 50.0
 CENSUS_DT = 1e-3
+
+# the census's four su(3) splits as (description, pattern), each pattern as
+# in _FAMILY_PATTERNS
+_CENSUS_PAIRS = (
+    ("diagonal driver | off-diagonal constraint",
+     _FAMILY_PATTERNS["diagonal"]),
+    ("ladder driver | diagonal + corner constraint",
+     _FAMILY_PATTERNS["tridiagonal"]),
+    ("corner driver | tridiagonal + diagonal constraint",
+     lambda n, i, j: (i, j) == (0, 2)),
+    ("two-level block driver | complementary constraint",
+     lambda n, i, j: i == 0 and j <= 1),
+)
 
 
 @dataclass(frozen=True)
@@ -648,14 +666,17 @@ class PartitionResult:
 _BLOCK = 4096
 
 
-def _h_distances(problem, ys, y_ref):
-    """Max-entry distance |H(y) - H(y_ref)| for each row y of ys, taken a
-    block of rows at a time so that the H stack is never held whole.  Only
-    the driver coordinates are read: F is never built."""
+def _h_distances(problem, ys, refs):
+    """Max-entry distance |H(y) - H(r)| for each row y of ys and the row r
+    of refs beside it (or refs itself, if it is one row), taken a block of
+    rows at a time so that the H stack is never held whole.  Only the
+    driver coordinates are read: F is never built."""
     nd, n = problem._driver.shape[0], problem.dim
     D = problem._driver.reshape(nd, n * n)
+    refs = np.broadcast_to(refs, ys.shape)
     return np.concatenate([
-        np.max(np.abs((ys[i:i + _BLOCK, :nd] - y_ref[:nd]) @ D), axis=-1)
+        np.max(np.abs((ys[i:i + _BLOCK, :nd] - refs[i:i + _BLOCK, :nd]) @ D),
+               axis=-1)
         for i in range(0, len(ys), _BLOCK)])
 
 
@@ -690,7 +711,11 @@ def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
 
     ys is the stored coarse path of the coordinates (h, f), row s at time
     s * dt.  Its grid cannot itself resolve a recurrence to 1e-6, so each
-    candidate minimum at step s is located between grid points.
+    candidate minimum at step s is located between grid points.  A
+    recurrence accepted in a candidate's bracket lies within one step of
+    it, so a candidate is a local minimum of the grid distance below 1e-6
+    plus twice the path's largest one-step move of H: no grid, however
+    coarse, steps over a recurrence the bracket would accept.
     """
     n_steps, y0 = len(ys) - 1, ys[0]
     dists = _h_distances(problem, ys, y0)
@@ -701,8 +726,9 @@ def _classify_flow(problem, ys, dt) -> tuple[str, Optional[float], float]:
     moved = np.argmax(dists > max(1e-3, 0.05 * max_exc))
     if moved == 0:
         return "neither", None, max_exc
+    window = 1e-6 + 2 * np.max(_h_distances(problem, ys[1:], ys[:-1]))
     for s in range(int(moved) + 1, n_steps):
-        if dists[s] < 1e-2 and dists[s] <= dists[s - 1] and \
+        if dists[s] < window and dists[s] <= dists[s - 1] and \
                 (s == n_steps - 1 or dists[s] <= dists[s + 1]):
             period = _recurrence_near(problem, ys, s, dt)
             if period is not None:
@@ -747,50 +773,18 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     """
     n_steps = grid_steps(t_max, dt)
     rng = np.random.default_rng(seed)
-    cart = _cartan(3)
-
-    def rand_coeffs(k, scale=1.0):
-        return rng.normal(scale=scale, size=k)
-
-    # 1: diagonal H, fully off-diagonal F
-    d_basis = cart
-    c_basis = [_sym(3, i, j) for i in range(3) for j in range(i + 1, 3)] + \
-              [_asym(3, i, j) for i in range(3) for j in range(i + 1, 3)]
-    H0 = sum(c * g for c, g in zip(rand_coeffs(2), d_basis))
-    F0 = sum(c * g for c, g in zip(rand_coeffs(6, 0.7), c_basis))
-    specs = [("diagonal driver | off-diagonal constraint",
-              d_basis, c_basis, H0, F0)]
-
-    # 2: ladder H (geodesic pattern), diagonal+corner F with omega = 0
-    d_basis = [_sym(3, 0, 1), _asym(3, 0, 1), _sym(3, 1, 2), _asym(3, 1, 2)]
-    c_basis = cart + [_sym(3, 0, 2), _asym(3, 0, 2)]
-    kap = (1 / np.sqrt(3)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    H0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    F0 = np.array([[0, 0, kap], [0, 0, 0], [np.conj(kap), 0, 0]])
-    specs.append(("ladder driver | diagonal + corner constraint",
-                  d_basis, c_basis, H0, F0))
-
-    # 3: corner H, tridiagonal + diagonal F
-    d_basis = [_sym(3, 0, 2), _asym(3, 0, 2)]
-    c_basis = cart + [_sym(3, 0, 1), _asym(3, 0, 1),
-                      _sym(3, 1, 2), _asym(3, 1, 2)]
-    H0 = sum(c * g for c, g in zip(rand_coeffs(2), d_basis))
-    F0 = sum(c * g for c, g in zip(rand_coeffs(6, 0.7), c_basis))
-    specs.append(("corner driver | tridiagonal + diagonal constraint",
-                  d_basis, c_basis, H0, F0))
-
-    # 4: upper-block H, complementary F
-    d_basis = [np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2),
-               _sym(3, 0, 1), _asym(3, 0, 1)]
-    c_basis = [np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(6),
-               _sym(3, 0, 2), _asym(3, 0, 2), _sym(3, 1, 2), _asym(3, 1, 2)]
-    H0 = sum(c * g for c, g in zip(rand_coeffs(3), d_basis))
-    F0 = sum(c * g for c, g in zip(rand_coeffs(5, 0.7), c_basis))
-    specs.append(("two-level block driver | complementary constraint",
-                  d_basis, c_basis, H0, F0))
-
     pairs = []
-    for desc, db, cb, H0, F0 in specs:
+    for index, (desc, pattern) in enumerate(_CENSUS_PAIRS, 1):
+        db, cb = _split(3, partial(pattern, 3))
+        if index == 2:
+            # a fixed start: H0 on the ladder and F0 = kappa * corner with
+            # |kappa| = 1/sqrt(3), the geodesic scenario at omega = 0
+            kap = (1 / np.sqrt(3)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            H0 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+            F0 = np.array([[0, 0, kap], [0, 0, 0], [np.conj(kap), 0, 0]])
+        else:
+            H0 = _combine(3, rng.normal(size=len(db)), db)
+            F0 = _combine(3, rng.normal(scale=0.7, size=len(cb)), cb)
         problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb)
         pairs.append((desc, problem, problem.project_driver(H0),
                       problem.project_constraint(F0)))

@@ -16,7 +16,6 @@ import argparse
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 
@@ -37,9 +36,6 @@ SCENARIO_NAMES = (*catalog.SCENARIO_BUILDERS.keys(),
 
 FMT = "%.17g"
 
-# `run` rejects a grid of more than this many steps (t_max / dt) before any
-# work: 20x the longest documented run, the census at t_max 50, dt 1e-3
-MAX_STEPS = 10**6
 RUN_T_MAX = 1.0
 RUN_DT = 1e-3
 # grid times a closed-form scenario is evaluated on per call: one block's
@@ -205,23 +201,15 @@ def _write_table(header, rows, out, fmt: str) -> int:
 
 
 def _grid(args) -> tuple[float, float]:
-    """(t_max, dt) of a run, checked before any work.
-
+    """(t_max, dt) of a run, checked by brach.grid_steps before any work.
     Absent values default to RUN_T_MAX/RUN_DT, or for su3-partitions to the
-    census grid.  Both must be finite, with dt > 0, t_max >= dt and at most
-    MAX_STEPS steps.
-    """
+    census grid."""
     census = args.scenario == "su3-partitions"
     t_max = args.t_max if args.t_max is not None else (
         catalog.CENSUS_T_MAX if census else RUN_T_MAX)
     dt = args.dt if args.dt is not None else (
         catalog.CENSUS_DT if census else RUN_DT)
-    if not (math.isfinite(t_max) and math.isfinite(dt)):
-        raise ValidationError("t_max and dt must be finite")
-    if dt <= 0 or t_max < dt:
-        raise ValidationError("need dt > 0 and t_max >= dt")
-    if t_max / dt > MAX_STEPS:
-        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
+    brach.grid_steps(t_max, dt)
     return t_max, dt
 
 

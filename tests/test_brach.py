@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrach import brach, catalog
 from qbrach.matcore import ValidationError, check_hermitian, expm_h
@@ -188,11 +188,20 @@ class TestControlProblem:
 
 
 def su3_basis():
-    """The standard basis of su(3): _cartan(3), then the three _sym and
-    the three _asym generators."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    return (catalog._cartan(3) + [catalog._sym(3, i, j) for i, j in pairs]
-            + [catalog._asym(3, i, j) for i, j in pairs])
+    """The standard basis of su(3), the driver of the split that takes all."""
+    return catalog._split(3, lambda i, j: True)[0]
+
+
+@st.composite
+def splits(draw):
+    """A split of su(n), n = 4..8, as the set of _split's (i, j) questions
+    answered True; neither part is empty."""
+    n = draw(st.integers(4, 8))
+    cells = [(k, k) for k in range(n - 1)] + [
+        (i, j) for i in range(n) for j in range(i + 1, n)]
+    driver = draw(st.sets(st.sampled_from(cells), min_size=1,
+                          max_size=len(cells) - 1))
+    return n, driver
 
 
 class TestRhs:
@@ -251,6 +260,32 @@ class TestRhs:
             classes[dh_zero, df_zero] += 1
         assert classes == {(True, False): 19, (False, True): 19,
                            (False, False): 216}
+
+    @given(splits())
+    # a diagonal driver (dh = 0) and a diagonal constraint (df = 0)
+    @example((5, {(k, k) for k in range(4)}))
+    @example((4, {(i, j) for i in range(4) for j in range(i + 1, 4)}))
+    @settings(max_examples=20, deadline=None)
+    def test_split_bracket_condition(self, split):
+        # at any n, as at n = 3 above: dh = 0 <=> every [D_a, C_b] lies in
+        # span C, and df = 0 <=> every [D_a, C_b] lies in span D
+        n, cells = split
+        D, C = (np.array(part) for part in
+                catalog._split(n, lambda i, j: (i, j) in cells))
+        assert len(D) + len(C) == n * n - 1
+        prob = brach.ControlProblem(dim=n, driver_basis=list(D),
+                                    constraint_basis=list(C))
+        brackets = (np.einsum("aij,bjk->abik", D, C)
+                    - np.einsum("bij,ajk->abik", C, D))
+
+        def in_span(E):
+            coeffs = np.einsum("cij,abji->abc", E, brackets)
+            rest = brackets - np.einsum("abc,cij->abij", coeffs, E)
+            return np.max(np.abs(rest)) < 1e-12
+
+        k = prob._terms[0]
+        assert (not np.any(k < len(D))) == in_span(C)
+        assert (not np.any(k >= len(D))) == in_span(D)
 
     @pytest.mark.parametrize("H, F", [
         (SY + 1e-6 * SZ, SZ),               # H outside the driver span

@@ -412,20 +412,29 @@ class TestPartitions:
 
     @pytest.mark.parametrize("t_max, dt", [
         (-1.0, 1e-3), (0.0, 1e-3), (1.0, -1e-3), (1.0, 0.0), (1.0, math.nan),
-        (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.inf)])
+        (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.inf), (4e-4, 1e-3),
+        (1e9, 1e-3)])
     def test_bad_grid_rejected(self, t_max, dt):
         # these once took no step (t_max 0) or died in numpy or Python with
-        # a negative dimension, a ZeroDivisionError or an OverflowError
+        # a negative dimension, a ZeroDivisionError or an OverflowError;
+        # t_max 4e-4 (round(0.4) steps) once took one step, and a grid
+        # over brach.MAX_STEPS was capped in `run` only
         with pytest.raises(ValidationError):
             catalog.su3_partitions(t_max=t_max, dt=dt)
 
-    def test_grid_shorter_than_a_step_takes_one(self):
-        # round(0.4) is 0 steps: the census once classified all four pairs
-        # as constant without moving
-        results = catalog.su3_partitions(t_max=4e-4, dt=1e-3)
-        assert [r.classification for r in results] == [
-            "constant", "neither", "neither", "constant"]
-        assert results[1].max_excursion > 0.0
+    @pytest.mark.parametrize("seed, dt", [
+        (3, 5e-2), (5, 5e-2), (42, 0.1), (7, 0.3), (3, 0.1)])
+    def test_coarse_grid_finds_the_first_recurrence(self, seed, dt):
+        # a fixed candidate window of 1e-2 let the grid step over the first
+        # recurrences: pair 3 came out at 2x to 4x its period
+        results = catalog.su3_partitions(t_max=50.0, dt=dt, seed=seed)
+        pair2, pair3 = results[1], results[2]
+        F0 = pair3.F0
+        assert pair3.classification == "periodic"
+        assert pair3.period == pytest.approx(
+            2 * np.pi / abs(F0[0, 0] - F0[2, 2]), abs=1e-5)
+        assert pair2.classification == "neither" or pair2.period == \
+            pytest.approx(2 * np.pi * np.sqrt(3), abs=1e-5)
 
     @pytest.mark.parametrize("dt", [1.0, 10.0])
     def test_diverging_path_aborts(self, dt):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbrach import catalog, cli
+from qbrach import brach, catalog, cli
 
 
 def run_cli(args):
@@ -153,10 +153,10 @@ class TestRunGrid:
                                 _must_not_run)
         else:
             monkeypatch.setattr(catalog, attr, _must_not_run)
-        t_max = 2 * cli.MAX_STEPS * 1e-3
+        t_max = 2 * brach.MAX_STEPS * 1e-3
         assert run_cli(["run", "--scenario", scenario,
                         "--t-max", repr(t_max), "--dt", "1e-3"]) == 65
-        assert str(cli.MAX_STEPS) in capsys.readouterr().err
+        assert str(brach.MAX_STEPS) in capsys.readouterr().err
 
 
 def _no_work_before_the_out_check(*args, **kwargs):

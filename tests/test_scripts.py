@@ -29,6 +29,12 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
+def assert_one_line_exit(proc, code, head):
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(head) and proc.stderr.count("\n") == 1
+
+
 def test_partition_census():
     lines = run_script("partition_census.py", "--t-max", "1")
     assert len(lines) == 8
@@ -45,10 +51,16 @@ def test_partition_census():
 def test_partition_census_error_exits(dt, code, head):
     # a bad grid once ended in a traceback and exit 1, and a diverging
     # path was classified with exit 0
-    proc = script("partition_census.py", "--dt", dt)
-    assert proc.returncode == code
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(head) and proc.stderr.count("\n") == 1
+    assert_one_line_exit(script("partition_census.py", "--dt", dt), code,
+                         head)
+
+
+@pytest.mark.parametrize("t_max", ["4e-4", "1e9"])
+def test_partition_census_takes_the_grid_rule_of_run(t_max):
+    # shorter than one step of the default dt, and over brach.MAX_STEPS:
+    # the first once took one step and exited 0, the second had no cap
+    assert_one_line_exit(script("partition_census.py", "--t-max", t_max),
+                         65, "bad parameters: ")
 
 
 def test_minimum_time_transfer():
