@@ -327,7 +327,7 @@ def elliptic_printed_state(R: float, Omega: float, z: Sequence[complex],
 # three-level geodesic family
 # ---------------------------------------------------------------------------
 
-def scenario_su3_geodesic(eps1_0: complex = 1.0,
+def scenario_su3_geodesic(eps1_0: complex | None = None,
                           kappa: complex = 1 / np.sqrt(3),
                           theta: float | None = None,
                           R: float | None = None) -> Scenario:
@@ -335,11 +335,13 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
 
     U(t) = exp(+itF) exp(-it(H(0)+F)); minimum transfer time e1 -> e3 is
     pi/(2|kappa|), equal to sqrt(3) pi/(2|eps1(0)|) on the consistency locus
-    |kappa| = |eps1(0)|/sqrt(3).  R, if given, sets |eps1(0)| directly
-    (eps1_0 must then be left at its default).
+    |kappa| = |eps1(0)|/sqrt(3).  eps1(0) defaults to 1; R, if given
+    instead, sets it to the real value R.  Giving both is rejected.
     """
-    if R is not None:
-        eps1_0 = R
+    if eps1_0 is None:
+        eps1_0 = 1.0 if R is None else R
+    elif R is not None:
+        raise ValidationError("eps1_0 and R both set eps1(0): give one")
     eps1_0, kappa = complex(eps1_0), complex(kappa)
     if abs(kappa) == 0:
         raise ValidationError("kappa must be nonzero")
@@ -385,8 +387,8 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
         ("node condition: T Delta = n pi",
          lambda T: _nearest_multiple_residual(T * Delta, np.pi)),
         ("transfer condition: T |kappa| = (2n'+1) pi/2",
-         lambda T: abs(((T * kmod) - np.pi / 2) -
-                       round(((T * kmod) - np.pi / 2) / np.pi) * np.pi)),
+         lambda T: _nearest_multiple_residual(T * kmod - np.pi / 2,
+                                              np.pi)),
     )
     return Scenario(
         name="su3-geodesic", dim=3,
@@ -407,14 +409,18 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
 # Frenet frame flow
 # ---------------------------------------------------------------------------
 
-def scenario_frenet(A: float = 1.0, B: float = 0.5, C: float = -0.5,
-                    N: float = 1.0, eta: float = 0.7) -> Scenario:
+def scenario_frenet(A: float | None = None, B: float = 0.5,
+                    C: float | None = None, N: float = 1.0,
+                    eta: float = 0.7) -> Scenario:
     """Curvature/torsion rotor: K = C sin(eta t) + N cos(eta t),
     T = A sin(eta t) + B cos(eta t), H = i * antisymmetric(K, T).
 
     Requires K^2 + T^2 = const on the branch A = N, C = -B (to 1e-8
     relative to R) that the frame assumes, not on its mirror A = -N, C = B.
+    A and C default to that branch: A = N and C = -B.
     """
+    A = N if A is None else A
+    C = -B if C is None else C
     R2 = N**2 + B**2
     if R2 <= 0:
         raise ValidationError("K(0)^2 + T(0)^2 must be positive")

@@ -7,7 +7,7 @@ Subcommands:
     list-scenarios -- print the scenario registry
 
 Exit codes: 0 success, 1 verification failure, 2 integrator drift abort,
-64 unknown scenario, 65 bad parameters.
+64 unknown scenario, 65 bad parameters (a rejected command line too).
 """
 
 from __future__ import annotations
@@ -314,8 +314,17 @@ def cmd_list_scenarios(_args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a rejected command line exits EXIT_BAD_PARAMS:
+    argparse's own status, 2, is a drift abort's.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_PARAMS, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbrach",
         description="Time-optimal quantum control: scenario trajectories "
                     "and verification reports.")

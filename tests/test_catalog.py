@@ -251,6 +251,11 @@ class TestGeodesic:
         scn = catalog.scenario_su3_geodesic(R=2.0)
         assert abs(scn.params["eps1_0"]) == pytest.approx(2.0)
 
+    def test_rejects_eps1_0_with_R(self):
+        # R once overrode eps1_0 silently
+        with pytest.raises(ValidationError, match="give one"):
+            catalog.scenario_su3_geodesic(eps1_0=2.0, R=1.0)
+
     def test_rejects_inconsistent_theta(self):
         for theta in (1.0, np.nan):
             with pytest.raises(ValidationError):
@@ -269,6 +274,16 @@ class TestFrenet:
         # Schrodinger residual of 2.1 here
         with pytest.raises(ValidationError, match="A = N and C = -B"):
             catalog.scenario_frenet(A=-1.0, B=0.5, C=0.5, N=1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"B": 0.3}, {"N": 0.8},
+                                        {"B": -0.2, "N": 1.5, "eta": 0.4}])
+    def test_A_and_C_default_to_the_branch(self, kwargs):
+        # the fixed defaults A = 1, C = -0.5 once broke the constraint
+        # whenever B or N alone was given
+        scn = catalog.scenario_frenet(**kwargs)
+        assert scn.params["A"] == scn.params["N"]
+        assert scn.params["C"] == -scn.params["B"]
+        assert catalog.validate(scn).max_deviation() <= 1e-6
 
     def test_other_point_of_the_branch(self):
         scn = catalog.scenario_frenet(A=0.8, B=-0.3, C=0.3, N=0.8, eta=-1.2)

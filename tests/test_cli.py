@@ -33,8 +33,15 @@ class TestExitCodes:
                         "--param", "bogus=1"]) == 65
 
     def test_bad_grid(self, capsys):
-        assert run_cli(["run", "--scenario", "su2", "--t-max", "0.0001",
-                        "--dt", "0.1"]) == 65
+        for argv in (["su2", "--t-max", "0.0001", "--dt", "0.1"],
+                     ["su3-partitions", "--dt", "0"],
+                     # shorter than one step of the census's default dt
+                     ["su3-partitions", "--t-max", "4e-4"]):
+            assert run_cli(["run", "--scenario", *argv]) == 65, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err.startswith("bad parameters: "), argv
+            assert err.count("\n") == 1, argv
 
     def test_malformed_param(self, capsys):
         assert run_cli(["run", "--scenario", "su2", "--param", "k"]) == 65
@@ -69,6 +76,14 @@ class TestExitCodes:
         # OverflowError traceback
         assert run_cli(["run", "--scenario", scenario, "--param", param,
                         "--t-max", "0.1", "--dt", "1e-2"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "bad parameters" in err
+
+    def test_geodesic_eps1_0_and_R_rejected(self, capsys):
+        # R once overrode eps1_0 silently: these rows were R=1's
+        assert run_cli(["run", "--scenario", "su3-geodesic", "--param",
+                        "eps1_0=2", "--param", "R=1", "--t-max", "0.1"]) == 65
         out, err = capsys.readouterr()
         assert out == ""
         assert "bad parameters" in err
@@ -130,6 +145,37 @@ class TestExitCodes:
                         "--param", "eps=1e200", "--t-max", "0.1"]) == 65
         err = capsys.readouterr().err
         assert "bad parameters: float overflow with n_z=0.5, eps=1e200" in err
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 65 with its usage line, never
+    2, the status of a drift abort."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["run"], ["run", "--scenario"],
+        ["run", "--scenario", "su2", "--t-max", "abc"],
+        ["run", "--scenario", "su3-partitions", "--dt", "abc"],
+        ["run", "--scenario", "su2", "--format", "xml"],
+        ["run", "--scenario", "su2", "--bogus"],
+        ["verify", "--seed", "x"], ["verify", "--suite", "nope"],
+        ["verify", "--format", "csv"]])
+    def test_rejection_exits_65(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == cli.EXIT_BAD_PARAMS == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: qbrach")
+        assert err.splitlines()[-1].startswith("qbrach")
+        assert ": error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], ["run", "--help"], ["verify", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 def _must_not_run(*args, **kwargs):
@@ -247,6 +293,19 @@ class TestRunCsv:
                         "--out", str(out)]) == 0
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[-1]) >= 1 - 1e-6
+
+    def test_frenet_off_its_default_B(self, tmp_path):
+        # A and C once stayed fixed at 1 and -0.5, so B alone broke the
+        # circle constraint A = N, C = -B and exited 65
+        out = tmp_path / "f.csv"
+        assert run_cli(["run", "--scenario", "frenet", "--param", "B=0.3",
+                        "--t-max", "0.1", "--dt", "0.05",
+                        "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        want = scalar_rows(catalog.scenario_frenet(A=1.0, B=0.3, C=-0.3),
+                           0.1, 0.05)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_family_run(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -388,7 +447,9 @@ class TestRunJson:
                         "--t-max", "2", "--dt", "5e-3",
                         "--format", "json", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert {d["pair"] for d in data} == {1, 2, 3, 4}
+        assert [d["pair"] for d in data] == [1, 2, 3, 4]
+        # two time units are shorter than every recurrence period
+        assert {d["classification"] for d in data} <= {"constant", "neither"}
 
 
 class TestVerify:
