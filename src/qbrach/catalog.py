@@ -91,9 +91,10 @@ def _constant(M) -> Callable:
 class Scenario:
     """A named closed-form solution family.
 
-    Every time function (hamiltonian_at, constraint_at, propagator_at,
-    state_at) takes a scalar t, returning (dim, dim) or (dim,), or an array
-    of N times, returning (N, dim, dim) or (N, dim).
+    Every scenario has H(t), F(t) (zero where the flow has no constraint),
+    psi0 and a period.  Every time function (hamiltonian_at, constraint_at,
+    propagator_at, state_at) takes a scalar t, returning (dim, dim) or
+    (dim,), or an array of N times, returning (N, dim, dim) or (N, dim).
     """
 
     name: str
@@ -101,11 +102,11 @@ class Scenario:
     params: dict
     hamiltonian_at: Callable[[float], np.ndarray]
     propagator_at: Callable[[float], np.ndarray]
-    constraint_at: Optional[Callable[[float], np.ndarray]] = None
-    psi0: Optional[np.ndarray] = None
+    constraint_at: Callable[[float], np.ndarray]
+    psi0: np.ndarray
+    period: float
     target: Optional[np.ndarray] = None
     min_time: Optional[float] = None
-    period: Optional[float] = None
     quantization: Sequence = ()
     problem: Optional[ControlProblem] = None
     extras: dict = field(default_factory=dict)
@@ -115,8 +116,6 @@ class Scenario:
         # a parameter that is not finite, or so large that the energy
         # overflows, shows in H(0) or F(0): reject it before any sample
         for at in (self.hamiltonian_at, self.constraint_at):
-            if at is None:
-                continue
             M = check_hermitian(at(0.0))
             # an overflowing entry times a zero one is NaN inside the trace
             with np.errstate(over="ignore", invalid="ignore"):
@@ -241,6 +240,7 @@ def scenario_so3(n_z: float = 0.6, eps: complex = 0.8) -> Scenario:
         params={"n_z": n_z, "eps": eps},
         hamiltonian_at=_constant(H),
         propagator_at=prop,
+        constraint_at=_constant(np.zeros((3, 3), dtype=complex)),
         psi0=psi0,
         period=2 * np.pi / R,
         problem=problem,
@@ -840,7 +840,7 @@ def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
     dt = 1e-3
     devs, runs = [], {}
     for scenario in scenarios:
-        T = scenario.period or 1.0
+        T = scenario.period
         devs.append(_closed_form_deviations(scenario, T, dt))
         if scenario.problem is not None:
             runs.setdefault(min(T, 2.0), []).append((scenario, devs[-1]))
@@ -880,9 +880,8 @@ def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
     H = scenario.hamiltonian_at(grid)
     dev["schrodinger_residual"] = float(np.max(np.abs(
         1j * dpsi - (H @ psi[..., None])[..., 0])))
-    if scenario.constraint_at is not None:
-        dev["trace_HF"] = float(np.max(np.abs(np.trace(
-            H @ scenario.constraint_at(grid), axis1=-2, axis2=-1).real)))
+    dev["trace_HF"] = float(np.max(np.abs(np.trace(
+        H @ scenario.constraint_at(grid), axis1=-2, axis2=-1).real)))
 
     t_ord = min(T, 1.0)
     U_num = ordered_exponential(scenario.hamiltonian_at, t_ord, dt)
@@ -892,12 +891,9 @@ def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
 
 
 def _integrator_run(scenario: Scenario) -> tuple:
-    """(problem, H0, F0, psi0) of the scenario; F0 is zero if it has no
-    constraint."""
-    F0 = (scenario.constraint_at(0.0) if scenario.constraint_at is not None
-          else np.zeros((scenario.dim, scenario.dim), dtype=complex))
-    return (scenario.problem, scenario.hamiltonian_at(0.0), F0,
-            scenario.psi0)
+    """(problem, H0, F0, psi0) of the scenario."""
+    return (scenario.problem, scenario.hamiltonian_at(0.0),
+            scenario.constraint_at(0.0), scenario.psi0)
 
 
 def _min_time_diagnostics(scenario: Scenario) -> dict:

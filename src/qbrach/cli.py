@@ -97,8 +97,7 @@ def _scenario_rows(scn, t_max: float, dt: float):
             t = np.minimum(np.arange(start, min(start + SAMPLE_BLOCK, n + 1))
                            * dt, t_max)
             H = scn.hamiltonian_at(t)
-            F = scn.constraint_at(t) if scn.constraint_at is not None \
-                else np.zeros_like(H)
+            F = scn.constraint_at(t)
             psi = scn.state_at(t)
             cols = [t[:, None], psi.view(float),
                     np.trace(H @ H, axis1=-2, axis2=-1).real[:, None],
@@ -157,9 +156,13 @@ def _write_text(lines, out) -> None:
             os.remove(tmp)
 
 
-def _check_out(out) -> None:
-    """Reject, before any work, an --out that names a directory or lies in
+def _check_args(args) -> None:
+    """Reject, before any work, a negative --seed (numpy's generators take
+    non-negative seeds only) and an --out that names a directory or lies in
     a directory that does not exist."""
+    if args.seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {args.seed}")
+    out = args.out
     if out and (os.path.isdir(out)
                 or not os.path.isdir(os.path.dirname(out) or ".")):
         raise ValidationError(
@@ -239,7 +242,7 @@ def cmd_run(args) -> int:
               f"(choose from {', '.join(SCENARIO_NAMES)})", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
     try:
-        _check_out(args.out)
+        _check_args(args)
         params = _parse_params(args.param)
         t_max, dt = _grid(args)
         if args.scenario == "su3-partitions":
@@ -277,14 +280,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    # before any suite runs, as `run` does: a negative seed (numpy's
-    # generators take non-negative seeds only) and an --out that cannot be
-    # written
     try:
-        if args.seed < 0:
-            raise ValidationError(
-                f"seed must be non-negative, got {args.seed}")
-        _check_out(args.out)
+        _check_args(args)
     except ValidationError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

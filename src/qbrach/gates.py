@@ -14,7 +14,7 @@ silently correcting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,16 +29,6 @@ def verify_unitary(M: np.ndarray) -> float:
     I = np.eye(M.shape[0])
     return float(max(np.max(np.abs(M.conj().T @ M - I)),
                      np.max(np.abs(M @ M.conj().T - I))))
-
-
-@dataclass(frozen=True)
-class GateEntry:
-    """A named matrix family; `printed_nonunitary` marks a display kept as
-    printed although it is not unitary."""
-
-    name: str
-    builder: Callable[..., np.ndarray]
-    printed_nonunitary: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +62,6 @@ def u2_half_phased(alpha: float) -> np.ndarray:
 
 def u2_phase(theta: float) -> np.ndarray:
     return np.exp(1j * theta) * np.diag([1.0, np.exp(-2j * theta)])
-
-
-def su2_catalog() -> list[GateEntry]:
-    return [
-        GateEntry("u2_hadamard", u2_hadamard),
-        # the printed display fails unitarity for theta != 0
-        GateEntry("u2_phased", u2_phased, printed_nonunitary=True),
-        GateEntry("u2_rotation", u2_rotation),
-        GateEntry("u2_not", u2_not),
-        GateEntry("u2_half_phased", u2_half_phased),
-        GateEntry("u2_phase", u2_phase),
-    ]
 
 
 def conjugation_to_sigma_z(alpha: float) -> np.ndarray:
@@ -143,16 +121,6 @@ def propagator_gate(theta: float) -> np.ndarray:
         [1 + (c - 1) * c**2, -1j * s * c, -1j * (c - 1) * s * c],
         [-1j * s * c, c, -s**2],
         [1j * (c - 1) * s * c, s**2, 1 + (c - 1) * s**2]])
-
-
-def su3_catalog() -> list[GateEntry]:
-    return [
-        GateEntry("d_gate", d_gate),
-        GateEntry("j_gate", j_gate),
-        GateEntry("q_gate", q_gate),
-        GateEntry("propagator_gate", propagator_gate),
-        GateEntry("n_swap", lambda: N_SWAP),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -434,34 +402,54 @@ W_SPINOR = np.kron(np.array([[1, 1], [1, -1]]) / SQ2, np.eye(2)).astype(
     complex)
 
 
-def su4_catalog() -> list[GateEntry]:
-    U3 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
-    U4 = np.array([[1, 0, 1, 0], [1j, 0, -1j, 0],
-                   [0, 1, 0, 1], [0, -1j, 0, 1j]]) / SQ2
-    U5 = np.array([[1, -1j, 0, 0], [1, 1j, 0, 0],
-                   [0, 0, 1, -1j], [0, 0, 1, 1j]]) / SQ2
-    U6 = np.array([[1, 0, 1, 0], [0, 1, 0, 1],
-                   [1, 0, -1, 0], [0, 1, 0, -1]]) / SQ2
-    U7 = np.array([[1, 0, 0, 1], [0, 1, 1, 0],
-                   [0, 1, -1, 0], [1, 0, 0, -1]]) / SQ2
-    U8a = np.array([[1, 1, -1, 1], [1, 1, 1, -1],
-                    [-1, 1, 1, 1], [1, -1, 1, 1]]) / SQ2
-    U8b = np.array([[1, 1, 1, 1], [1, -1j, -1, 1j],
-                    [1, -1, 1, -1], [1, 1j, -1, -1j]]) / 2.0
-    U9 = np.eye(4)[[0, 3, 1, 2]].astype(complex)
-    U10 = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+# ---------------------------------------------------------------------------
+# gate table
+# ---------------------------------------------------------------------------
+
+def catalog_at(angle: float) -> list[tuple]:
+    """The two-, three- and four-level gates, each family at `angle` (q_gate
+    with rho = 0), as rows (group, name, matrix, printed_nonunitary).  A
+    printed_nonunitary row is a display kept as printed although it is not
+    unitary."""
     return [
-        GateEntry("u4_block_swap", lambda: U3),
-        GateEntry("u4_pairwise_mix", lambda: U4),
-        GateEntry("u4_block_hadamard_i", lambda: U5),
-        GateEntry("u4_spinor_hadamard", lambda: U6),
-        GateEntry("u4_cross_hadamard", lambda: U7),
+        ("su2", "u2_hadamard", u2_hadamard(), False),
+        # the printed display fails unitarity for theta != 0
+        ("su2", "u2_phased", u2_phased(angle), True),
+        ("su2", "u2_rotation", u2_rotation(angle), False),
+        ("su2", "u2_not", u2_not(), False),
+        ("su2", "u2_half_phased", u2_half_phased(angle), False),
+        ("su2", "u2_phase", u2_phase(angle), False),
+        ("su3", "d_gate", d_gate(angle), False),
+        ("su3", "j_gate", j_gate(angle), False),
+        ("su3", "q_gate", q_gate(angle), False),
+        ("su3", "propagator_gate", propagator_gate(angle), False),
+        ("su3", "n_swap", N_SWAP, False),
+        ("su4", "u4_block_swap",
+         np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex),
+         False),
+        ("su4", "u4_pairwise_mix",
+         np.array([[1, 0, 1, 0], [1j, 0, -1j, 0],
+                   [0, 1, 0, 1], [0, -1j, 0, 1j]]) / SQ2, False),
+        ("su4", "u4_block_hadamard_i",
+         np.array([[1, -1j, 0, 0], [1, 1j, 0, 0],
+                   [0, 0, 1, -1j], [0, 0, 1, 1j]]) / SQ2, False),
+        ("su4", "u4_spinor_hadamard",
+         np.array([[1, 0, 1, 0], [0, 1, 0, 1],
+                   [1, 0, -1, 0], [0, 1, 0, -1]]) / SQ2, False),
+        ("su4", "u4_cross_hadamard",
+         np.array([[1, 0, 0, 1], [0, 1, 1, 0],
+                   [0, 1, -1, 0], [1, 0, 0, -1]]) / SQ2, False),
         # printed with a 1/sqrt(2) prefactor, so its rows have norm sqrt(2)
-        GateEntry("u4_sign_pattern", lambda: U8a, printed_nonunitary=True),
-        GateEntry("u4_dft", lambda: U8b),
-        GateEntry("u4_cycle_132", lambda: U9),
-        GateEntry("u4_swap_34", lambda: U10),
-        GateEntry("w_spinor", lambda: W_SPINOR),
+        ("su4", "u4_sign_pattern",
+         np.array([[1, 1, -1, 1], [1, 1, 1, -1],
+                   [-1, 1, 1, 1], [1, -1, 1, 1]]) / SQ2, True),
+        ("su4", "u4_dft",
+         np.array([[1, 1, 1, 1], [1, -1j, -1, 1j],
+                   [1, -1, 1, -1], [1, 1j, -1, -1j]]) / 2.0, False),
+        ("su4", "u4_cycle_132", np.eye(4)[[0, 3, 1, 2]].astype(complex),
+         False),
+        ("su4", "u4_swap_34", np.eye(4)[[0, 1, 3, 2]].astype(complex), False),
+        ("su4", "w_spinor", W_SPINOR, False),
     ]
 
 

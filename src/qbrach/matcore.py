@@ -119,8 +119,11 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     step propagator is built in one batched product, and only the ordered
     product U = U_k @ U runs step by step.  Recovers the closed-form
     exponential only when the integrand self-commutes; otherwise it is the
-    time-ordered propagator.
+    time-ordered propagator.  A t_max or dt that is not finite, a dt <= 0
+    or a dt > t_max raises ValidationError before H is called.
     """
+    if not (np.isfinite(t_max) and np.isfinite(dt)):
+        raise ValidationError("t_max and dt must be finite")
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if dt > t_max:

@@ -74,26 +74,15 @@ def merge(envelopes) -> ReportEnvelope:
 # gates sweep
 # ---------------------------------------------------------------------------
 
-def _build_gate(entry) -> np.ndarray:
-    """The entry's gate with each required (angle) parameter at 0.4."""
-    import inspect
-    params = [p for p in inspect.signature(entry.builder).parameters.values()
-              if p.default is inspect.Parameter.empty]
-    return entry.builder(*([0.4] * len(params)))
-
-
 def verify_gates() -> ReportEnvelope:
     env = ReportEnvelope(suite="gates")
 
-    for cat_name, cat in (("su2", gates.su2_catalog()),
-                          ("su3", gates.su3_catalog()),
-                          ("su4", gates.su4_catalog())):
-        for entry in cat:
-            res = gates.verify_unitary(_build_gate(entry))
-            if entry.printed_nonunitary:
-                env.add(f"{cat_name}-nonunitary-{entry.name}-printed", res)
-            else:
-                env.add(f"{cat_name}-unitary-{entry.name}", res, 1e-12)
+    for group, name, M, printed_nonunitary in gates.catalog_at(0.4):
+        res = gates.verify_unitary(M)
+        if printed_nonunitary:
+            env.add(f"{group}-nonunitary-{name}-printed", res)
+        else:
+            env.add(f"{group}-unitary-{name}", res, 1e-12)
 
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     env.add("su2-conjugation-to-sigma-z",

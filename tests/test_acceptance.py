@@ -88,11 +88,9 @@ class TestInvariants:
                                       if n != "dirac"])
     def test_scenario_invariants(self, name):
         scn = catalog.SCENARIO_BUILDERS[name]()
-        T = scn.period if scn.period is not None else 2.0
-        F0 = (scn.constraint_at(0.0) if scn.constraint_at is not None
-              else np.zeros((scn.dim, scn.dim), dtype=complex))
-        traj = brach.evolve(scn.problem, scn.hamiltonian_at(0.0), F0,
-                            scn.psi0, T, dt=1e-3, record_every=10)
+        traj = brach.evolve(scn.problem, scn.hamiltonian_at(0.0),
+                            scn.constraint_at(0.0), scn.psi0, scn.period,
+                            dt=1e-3, record_every=10)
         self.check_trajectory(traj)
 
     def test_dirac_invariants_closed_form(self):

@@ -147,12 +147,10 @@ class TestFramePropagator:
             assert np.max(np.abs(scn.propagator_at(t) - want)) < 1e-12, t
 
 
-# (scenario, time function) for every time function a scenario has: so3
-# has no constraint
-TIME_CASES = [(name, fn_name) for name, builder in ALL_BUILDERS
+# (scenario, time function) for every time function of every scenario
+TIME_CASES = [(name, fn_name) for name in catalog.SCENARIO_BUILDERS
               for fn_name in ("hamiltonian_at", "constraint_at",
-                              "propagator_at", "state_at")
-              if getattr(builder(), fn_name) is not None]
+                              "propagator_at", "state_at")]
 
 
 class TestTimeArrays:
@@ -218,6 +216,12 @@ class TestSo3:
         psi0 = scn.state_at(0.0)
         assert np.max(np.abs(scn.state_at(np.pi / R) + psi0)) < 1e-10
         assert np.max(np.abs(scn.state_at(2 * np.pi / R) - psi0)) < 1e-10
+
+    def test_constraint_is_zero(self):
+        scn = catalog.scenario_so3(0.6, 0.8)
+        assert np.array_equal(scn.constraint_at(0.37), np.zeros((3, 3)))
+        assert np.array_equal(scn.constraint_at(np.linspace(0, 7, 5)),
+                              np.zeros((5, 3, 3)))
 
     def test_middle_component_constant(self):
         scn = catalog.scenario_so3(0.6, 0.8)

@@ -324,10 +324,8 @@ def scalar_rows(scn, t_max, dt):
     for i in range(max(int(round(t_max / dt)), 1) + 1):
         t = min(i * dt, t_max)
         H, psi = scn.hamiltonian_at(t), scn.state_at(t)
-        F = (scn.constraint_at(t) if scn.constraint_at is not None
-             else np.zeros_like(H))
         row = [t, *psi.view(float), np.trace(H @ H).real,
-               np.trace(H @ F).real, np.linalg.norm(psi)]
+               np.trace(H @ scn.constraint_at(t)).real, np.linalg.norm(psi)]
         if scn.target is not None:
             row.append(abs(np.vdot(scn.target, psi)) ** 2)
         rows.append(row)
@@ -490,6 +488,11 @@ class TestVerify:
         assert "bad parameters" in capsys.readouterr().err
 
     def test_run_rejects_a_negative_seed(self, capsys):
-        assert run_cli(["run", "--scenario", "sun-family", "--seed", "-1",
-                        "--t-max", "0.01"]) == 65
-        assert "bad parameters" in capsys.readouterr().err
+        # a closed form ignores --seed, but -1 is still not a seed
+        for scenario in ("su2", "sun-family", "su3-partitions"):
+            assert run_cli(["run", "--scenario", scenario, "--seed", "-1",
+                            "--t-max", "0.01"]) == 65, scenario
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("bad parameters: seed must be non-negative, "
+                           "got -1\n")

@@ -147,6 +147,15 @@ class TestStackedOrderedExponential:
             mc.ordered_exponential(self._spoiled_at_one_midpoint(1e-9),
                                    1.0, 1e-2)
 
+    @pytest.mark.parametrize("t_max, dt", [(np.inf, 1e-3), (np.nan, 1e-3),
+                                           (1.0, np.nan)])
+    def test_rejects_non_finite_grid(self, t_max, dt):
+        def H(t):
+            raise AssertionError("H called on a non-finite grid")
+
+        with pytest.raises(mc.ValidationError, match="finite"):
+            mc.ordered_exponential(H, t_max, dt)
+
     def test_rejects_nan_midpoint(self):
         with pytest.raises(mc.ValidationError, match="finite"):
             mc.ordered_exponential(self._spoiled_at_one_midpoint(np.nan),
