@@ -19,13 +19,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, check_hermitian, check_state
+from .matcore import MAX_STEPS, ValidationError, check_hermitian, check_state
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
-# grid_steps rejects a grid of more than this many steps (t_max / dt): 20x
-# the longest documented run, the census at t_max 50, dt 1e-3
-MAX_STEPS = 10**6
 # integrate gates the states recorded over this many steps in one call
 SAMPLE_BLOCK = 256
 
@@ -283,7 +280,7 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     pairs; its terms on z0's positions (the problem's flow terms and those
     of dpsi = -i H psi); the position m where psi starts; and gate, which
     takes the recorded rows of its states and returns their Samples.
-    H0 and F0 are checked as brach_rhs checks them, and psi0 must be a
+    H0 and F0 are checked by _coordinates, and psi0 must be a
     finite unit vector of problem.dim entries; bad input raises
     ValidationError.
     """

@@ -20,7 +20,8 @@ import numpy as np
 from .matcore import (ValidationError, check_hermitian, hermitian_eig,
                       ordered_exponential, trace_inner)
 from .brach import (DRIFT_ABORT, ControlProblem, DriftAbort, Samples,
-                    _joined, grid_steps, integrate, rk4_path, rk4_step)
+                    _coordinates, _joined, grid_steps, integrate, rk4_path,
+                    rk4_step)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -773,9 +774,12 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
 
     The four pattern pairs are integrated together on the coarse grid and
     each H(t) classified as constant, periodic (recurrence search on
-    ||H(t) - H(0)||), or neither.  A bad grid (see brach.grid_steps)
-    raises ValidationError before any work, and a path that diverges (see
-    _check_drift) raises DriftAbort before any pair is classified.
+    ||H(t) - H(0)||), or neither.  Each pair's drawn start (H0, F0), which
+    its result reports, is checked and converted to coordinates as every
+    integrate run's is (brach._coordinates).  A bad grid (see
+    brach.grid_steps) raises ValidationError before any work, and a path
+    that diverges (see _check_drift) raises DriftAbort before any pair is
+    classified.
     """
     n_steps = grid_steps(t_max, dt)
     rng = np.random.default_rng(seed)
@@ -792,14 +796,13 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
             H0 = _combine(3, rng.normal(size=len(db)), db)
             F0 = _combine(3, rng.normal(scale=0.7, size=len(cb)), cb)
         problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb)
-        pairs.append((desc, problem, problem.project_driver(H0),
-                      problem.project_constraint(F0)))
+        pairs.append((desc, problem, H0, F0))
 
     # Every pair spans su(3), so its coordinates (h, f) are 8 numbers: one
     # RK4 path steps the four pairs as one flat state, pair i at offset 8i.
     problems = [p for _, p, _, _ in pairs]
     paths = rk4_path(_joined([(p._terms, 8) for p in problems]),
-                     np.concatenate([p.coefficients(H0, F0)
+                     np.concatenate([_coordinates(p, H0, F0)
                                      for _, p, H0, F0 in pairs]),
                      n_steps, dt, ())
     _check_drift(problems, paths, dt)
@@ -880,8 +883,8 @@ def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
     H = scenario.hamiltonian_at(grid)
     dev["schrodinger_residual"] = float(np.max(np.abs(
         1j * dpsi - (H @ psi[..., None])[..., 0])))
-    dev["trace_HF"] = float(np.max(np.abs(np.trace(
-        H @ scenario.constraint_at(grid), axis1=-2, axis2=-1).real)))
+    dev["trace_HF"] = float(np.max(np.abs(np.einsum(
+        "nij,nji->n", H, scenario.constraint_at(grid)).real)))
 
     t_ord = min(T, 1.0)
     U_num = ordered_exponential(scenario.hamiltonian_at, t_ord, dt)

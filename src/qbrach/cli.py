@@ -99,19 +99,13 @@ def _scenario_rows(scn, t_max: float, dt: float):
             H = scn.hamiltonian_at(t)
             F = scn.constraint_at(t)
             psi = scn.state_at(t)
-            cols = [t[:, None], psi.view(float),
-                    np.trace(H @ H, axis1=-2, axis2=-1).real[:, None],
-                    np.trace(H @ F, axis1=-2, axis2=-1).real[:, None]]
-            # per row, the same sums in the same order as np.linalg.norm and
-            # np.vdot, so both columns equal those calls bit for bit
-            re, im = psi.real[:, None, :], psi.imag[:, None, :]
-            cols.append(np.sqrt(re @ re.swapaxes(-1, -2)
-                                + im @ im.swapaxes(-1, -2))[:, 0])
+            cols = [t, psi.view(float),
+                    np.einsum("nij,nji->n", H, H).real,
+                    np.einsum("nij,nji->n", H, F).real,
+                    np.linalg.norm(psi, axis=-1)]
             if scn.target is not None:
-                # Python's abs: np.abs differs from it in the last bit
-                overlaps = (scn.target.conj() @ psi[..., None])[:, 0].tolist()
-                cols.append(np.array([abs(z) ** 2 for z in overlaps])[:, None])
-            yield from np.hstack(cols).tolist()
+                cols.append(np.abs(psi @ scn.target.conj()) ** 2)
+            yield from np.column_stack(cols).tolist()
 
     return _header(scn.dim, scn.target), rows()
 

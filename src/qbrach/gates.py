@@ -134,29 +134,27 @@ def eigenreflections(xi: float):
     the sum of the outer two fails entrywise (off by exactly diag(1, 0, 0));
     residuals are reported, not asserted.
     """
+    def middle(x):
+        c, s = np.cos(x), np.sin(x)
+        return np.array([
+            [s**2, 0, -1j * s * c],
+            [0, 1, 0],
+            [1j * s * c, 0, 1 + c**2]])
+
     c, s = np.cos(xi), np.sin(xi)
     M1 = 0.5 * np.array([
         [1 + s**2, -c, 1j * s * c],
         [-c, 1, 1j * s],
         [-1j * s * c, -1j * s, 1 + c**2]])
-    M2 = np.array([
-        [s**2, 0, -1j * s * c],
-        [0, 1, 0],
-        [1j * s * c, 0, 1 + c**2]])
+    M2 = middle(xi)
     M3 = 0.5 * np.array([
         [1 + s**2, c, 1j * s * c],
         [c, 1, -1j * s],
         [-1j * s * c, 1j * s, 1 + c**2]])
-
-    cm, sm = np.cos(-xi), np.sin(-xi)
-    M2_neg = np.array([
-        [sm**2, 0, -1j * sm * cm],
-        [0, 1, 0],
-        [1j * sm * cm, 0, 1 + cm**2]])
     report = {
         "hermiticity": max(float(np.max(np.abs(M - M.conj().T)))
                            for M in (M1, M2, M3)),
-        "sum_identity": float(np.max(np.abs(M2_neg - (M1 + M3)))),
+        "sum_identity": float(np.max(np.abs(middle(-xi) - (M1 + M3)))),
     }
     # residual of each printed matrix against 1 - |v><v| over the columns
     # of the eigenvector gate at the same angle

@@ -3,9 +3,8 @@
 Everything downstream (the brachistochrone integrator, the scenario catalog,
 the gate checks) works with plain square numpy arrays at desk scale
 (dim <= ~16).  This module provides the validated primitives: trace
-inner products, Hermitian eigendecomposition with a deterministic phase
-convention, the spectral matrix exponential and the step-ordered
-exponential.
+inner products, Hermitian eigendecomposition, the spectral matrix
+exponential and the step-ordered exponential.
 """
 
 from __future__ import annotations
@@ -17,6 +16,10 @@ import numpy as np
 
 HERM_TOL = 1e-12
 STATE_TOL = 1e-10
+# a grid of more than this many steps (t_max / dt) is rejected, by
+# ordered_exponential and brach.grid_steps: 20x the longest documented run,
+# the census at t_max 50, dt 1e-3
+MAX_STEPS = 10**6
 
 
 class ValidationError(ValueError):
@@ -82,26 +85,10 @@ class Spectrum:
         return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude component real positive, for
-    one matrix (d, d) or a stack (..., d, d).
-
-    Ties broken by lowest index (np.argmax convention); a zero column
-    stays zero.  The modulus is np.hypot of the parts, which rounds as the
-    scalar abs() of one complex pivot does.
-    """
-    rows = np.argmax(np.abs(V), axis=-2)
-    piv = np.take_along_axis(V, rows[..., None, :], axis=-2)[..., 0, :]
-    mod = np.hypot(piv.real, piv.imag)
-    return V * (piv.conj() / np.where(mod > 0, mod, 1.0))[..., None, :]
-
-
 def hermitian_eig(M, stack: bool = False) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic phases;
-    with stack=True, of a stack (..., d, d) in one call."""
-    A = check_hermitian(M, stack)
-    vals, vecs = np.linalg.eigh(A)
-    return Spectrum(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
+    """Eigendecomposition of a Hermitian matrix; with stack=True, of a
+    stack (..., d, d) in one call."""
+    return Spectrum(*np.linalg.eigh(check_hermitian(M, stack)))
 
 
 def expm_h(H, t: float = 1.0) -> np.ndarray:
@@ -119,8 +106,9 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     step propagator is built in one batched product, and only the ordered
     product U = U_k @ U runs step by step.  Recovers the closed-form
     exponential only when the integrand self-commutes; otherwise it is the
-    time-ordered propagator.  A t_max or dt that is not finite, a dt <= 0
-    or a dt > t_max raises ValidationError before H is called.
+    time-ordered propagator.  A t_max or dt that is not finite, a dt <= 0,
+    a dt > t_max or more than MAX_STEPS steps raises ValidationError before
+    H is called.
     """
     if not (np.isfinite(t_max) and np.isfinite(dt)):
         raise ValidationError("t_max and dt must be finite")
@@ -128,6 +116,8 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
         raise ValidationError("dt must be positive")
     if dt > t_max:
         raise ValidationError("dt must not exceed t_max")
+    if t_max / dt > MAX_STEPS:
+        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
     n_full = int(t_max / dt)
     remainder = t_max - n_full * dt
     # t_k as the running sum of the steps, the last one the remainder's start

@@ -530,6 +530,24 @@ class TestPartitions:
                                    15000, 1e-3, ())
             np.testing.assert_allclose(ys, alone, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("seed", [42, 7, 1001])
+    def test_steps_the_start_it_reports(self, seed, monkeypatch):
+        # the census's start is each result's (H0, F0) in its problem's
+        # coordinates, pair after pair, to the bit: a check that integrates
+        # a reported start on its own integrates what the census stepped
+        starts = []
+        rk4_path = brach.rk4_path
+
+        def spy(terms, z, n_steps, dt, psi_parts):
+            starts.append(z.copy())
+            return rk4_path(terms, z, n_steps, dt, psi_parts)
+
+        monkeypatch.setattr(catalog, "rk4_path", spy)
+        results = catalog.su3_partitions(t_max=1e-2, dt=1e-3, seed=seed)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], np.concatenate(
+            [r.problem.coefficients(r.H0, r.F0) for r in results]))
+
     @pytest.mark.parametrize("miss,classification",
                              [(1e-4, "neither"), (1e-7, "periodic")])
     def test_refined_distance_decides_recurrence(self, miss, classification):

@@ -75,7 +75,7 @@ class TestSpectral:
         V, w = spec.eigenvectors, spec.eigenvalues
         assert np.max(np.abs((V * w) @ V.conj().T - H)) < 1e-12
 
-    def test_phase_convention_deterministic(self):
+    def test_eigenvectors_deterministic(self):
         H = random_hermitian(4, 7)
         V1 = mc.hermitian_eig(H).eigenvectors
         V2 = mc.hermitian_eig(H.copy()).eigenvectors
@@ -156,31 +156,18 @@ class TestStackedOrderedExponential:
         with pytest.raises(mc.ValidationError, match="finite"):
             mc.ordered_exponential(H, t_max, dt)
 
+    @pytest.mark.parametrize("t_max, dt", [(1e18, 1e-3), (2e3, 1e-3)])
+    def test_rejects_a_grid_over_the_step_cap(self, t_max, dt):
+        def H(t):
+            raise AssertionError("H called on a grid over the step cap")
+
+        with pytest.raises(mc.ValidationError, match=str(mc.MAX_STEPS)):
+            mc.ordered_exponential(H, t_max, dt)
+
     def test_rejects_nan_midpoint(self):
         with pytest.raises(mc.ValidationError, match="finite"):
             mc.ordered_exponential(self._spoiled_at_one_midpoint(np.nan),
                                    1.0, 1e-2)
-
-    def test_fix_phases_stack_equals_column_loop(self):
-        # the convention as one column at a time with the scalar abs();
-        # the stack and each single matrix must match it bit for bit
-        def column_loop(V):
-            W = V.copy()
-            for j in range(W.shape[1]):
-                col = W[:, j]
-                piv = col[int(np.argmax(np.abs(col)))]
-                if abs(piv) > 0:
-                    W[:, j] = col * (piv.conjugate() / abs(piv))
-            return W
-
-        rng = np.random.default_rng(14)
-        A = rng.normal(size=(256, 4, 4)) + 1j * rng.normal(size=(256, 4, 4))
-        _, V = np.linalg.eigh(A + A.conj().swapaxes(-1, -2))
-        W = mc._fix_phases(V)
-        for k in range(len(V)):
-            want = column_loop(V[k])
-            assert np.array_equal(W[k], want)
-            assert np.array_equal(mc._fix_phases(V[k]), want)
 
 
 class TestSpectrumExpm:
