@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .matcore import MAX_STEPS, ValidationError, check_hermitian, check_state
+from .matcore import ValidationError, check_hermitian, check_state, grid_steps
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
@@ -77,14 +77,17 @@ def _bilinear(terms, z) -> np.ndarray:
 
 
 def _joined(systems):
-    """One term list for several bilinear systems stepped as one flat state
-    z: systems holds (terms, size) pairs, and each system's terms are
-    shifted to its offset in z (the sum of the sizes before it)."""
-    parts, offset = [], 0
-    for (k, a, b, v), size in systems:
+    """Several bilinear systems laid out as one flat state z: systems holds
+    (terms, z0) pairs, placed in order.  Returns the joined term list (each
+    system's terms shifted to its place in z), z's start (the z0s one after
+    another) and each system's slice of z."""
+    parts, cols, offset = [], [], 0
+    for (k, a, b, v), z0 in systems:
         parts.append((k + offset, a + offset, b + offset, v))
-        offset += size
-    return tuple(map(np.concatenate, zip(*parts)))
+        cols.append(slice(offset, offset + len(z0)))
+        offset += len(z0)
+    return (tuple(map(np.concatenate, zip(*parts))),
+            np.concatenate([z0 for _, z0 in systems]), cols)
 
 
 @dataclass
@@ -340,28 +343,16 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     return z0, terms, m, gate
 
 
-def grid_steps(t_max: float, dt: float) -> int:
-    """The number of steps of dt that a run to t_max takes, round(t_max /
-    dt).  t_max and dt must be finite, with dt > 0, t_max >= dt and at most
-    MAX_STEPS steps; a bad grid raises ValidationError."""
-    if not (math.isfinite(t_max) and math.isfinite(dt)):
-        raise ValidationError("t_max and dt must be finite")
-    if dt <= 0 or t_max < dt:
-        raise ValidationError("need dt > 0 and t_max >= dt")
-    if t_max / dt > MAX_STEPS:
-        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
-    return int(round(t_max / dt))
-
-
 def integrate(runs, t_max: float, dt: float, record_every: int = 1):
     """Fixed-step RK4 on the runs (problem, H0, F0, psi0) on one grid.
 
     Returns a generator of blocks, each one Samples per run, whose rows are
     step 0, every record_every-th step and the last of grid_steps(t_max,
-    dt).  The runs are one flat state, each run's z = (h, f, psi) at its
-    offset (psi as interleaved (Re, Im) pairs), stepped by rk4_path through
-    one term list: each problem's flow terms and those of dpsi = -i H psi,
-    SAMPLE_BLOCK steps a call.  H and F stay in their subspaces exactly.
+    dt).  The runs are one flat state, each run's z = (h, f, psi) in its
+    slice (see _joined; psi as interleaved (Re, Im) pairs), stepped by
+    rk4_path through one term list: each problem's flow terms and those of
+    dpsi = -i H psi, SAMPLE_BLOCK steps a call.  H and F stay in their
+    subspaces exactly.
     A run's terms write only its own part, and its psi is renormalized
     (norm drift beyond 1e-12) and its rows gated on that part, so its
     samples are the ones it gets alone.
@@ -384,12 +375,9 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
     if not runs:
         raise ValidationError("no runs to step")
     members = [_member(*run, dt) for run in runs]
-    terms = _joined([(t, len(z0)) for z0, t, _, _ in members])
-    cols, psi_parts, lo = [], [], 0
-    for z0, _, m, _ in members:
-        cols.append(slice(lo, lo + len(z0)))
-        psi_parts.append((lo + m, lo + len(z0)))
-        lo += len(z0)
+    terms, z0, cols = _joined([(t, z) for z, t, _, _ in members])
+    psi_parts = [(c.start + m, c.stop)
+                 for (_, _, m, _), c in zip(members, cols)]
 
     def gated(steps, Z):
         # a run's columns are copied whole, so its gate sees the layout of
@@ -405,7 +393,7 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
             raise results[first][1]
 
     def blocks():
-        z = np.concatenate([z0 for z0, _, _, _ in members])
+        z = z0
         yield from gated(np.zeros(1, dtype=int), z[None])
         for start in range(1, n_steps + 1, SAMPLE_BLOCK):
             steps = np.arange(start, min(start + SAMPLE_BLOCK, n_steps + 1))

@@ -687,20 +687,19 @@ def _h_distances(problem, ys, refs):
         for i in range(0, len(ys), _BLOCK)])
 
 
-def _check_drift(problems, paths, dt) -> None:
+def _check_drift(problems, paths, cols, dt) -> None:
     """Raise DriftAbort at the first row of the census path (pair i in
-    columns 8i to 8i + 8) where a pair's state is not finite or its
+    columns cols[i]) where a pair's state is not finite or its
     Tr H^2 = |h|^2 has drifted from its start by more than DRIFT_ABORT,
     relatively (the first such pair on a tie).  The flow conserves Tr H^2,
     so this catches a path that has diverged, not every grid too coarse to
     classify on."""
-    Z = paths.reshape(len(paths), len(problems), 8)
-    hs = [Z[:, i, :len(p._driver)] for i, p in enumerate(problems)]
+    hs = [paths[:, c][:, :len(p._driver)] for p, c in zip(problems, cols)]
     with np.errstate(over="ignore", invalid="ignore"):
         trH2 = np.stack([np.einsum("sk,sk->s", h, h) for h in hs], axis=1)
         drift = np.abs(trH2 - trH2[0]) / np.maximum(trH2[0], 1e-30)
-        # a sum is not finite if one of its terms is not
-        finite = np.isfinite(np.einsum("sik->si", Z))
+    finite = np.stack([np.isfinite(paths[:, c]).all(axis=1) for c in cols],
+                      axis=1)
     # NaN compares False, so a row passes only if every drift is in range
     ok = (drift <= DRIFT_ABORT) & finite
     bad = np.flatnonzero(~ok.all(axis=1))
@@ -796,22 +795,19 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
             H0 = _combine(3, rng.normal(size=len(db)), db)
             F0 = _combine(3, rng.normal(scale=0.7, size=len(cb)), cb)
         problem = ControlProblem(dim=3, driver_basis=db, constraint_basis=cb)
-        pairs.append((desc, problem, H0, F0))
+        pairs.append((index, desc, problem, H0, F0))
 
-    # Every pair spans su(3), so its coordinates (h, f) are 8 numbers: one
-    # RK4 path steps the four pairs as one flat state, pair i at offset 8i.
-    problems = [p for _, p, _, _ in pairs]
-    paths = rk4_path(_joined([(p._terms, 8) for p in problems]),
-                     np.concatenate([_coordinates(p, H0, F0)
-                                     for _, p, H0, F0 in pairs]),
-                     n_steps, dt, ())
-    _check_drift(problems, paths, dt)
-    # pair i reads the view paths[:, 8i:8i+8]: a copy per pair would add to
-    # the peak memory the whole path already sets
-    return [PartitionResult(i + 1, desc, H0, F0, problem,
-                            *_classify_flow(problem,
-                                            paths[:, 8 * i:8 * i + 8], dt))
-            for i, (desc, problem, H0, F0) in enumerate(pairs)]
+    # one RK4 path steps the four pairs as one flat state
+    problems = [p for _, _, p, _, _ in pairs]
+    terms, z0, cols = _joined([(p._terms, _coordinates(p, H0, F0))
+                               for _, _, p, H0, F0 in pairs])
+    paths = rk4_path(terms, z0, n_steps, dt, ())
+    _check_drift(problems, paths, cols, dt)
+    # each pair reads its slice of the path as a view: a copy per pair
+    # would add to the peak memory the whole path already sets
+    return [PartitionResult(index, desc, H0, F0, problem,
+                            *_classify_flow(problem, paths[:, c], dt))
+            for (index, desc, problem, H0, F0), c in zip(pairs, cols)]
 
 
 # ---------------------------------------------------------------------------

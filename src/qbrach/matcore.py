@@ -9,6 +9,7 @@ exponential and the step-ordered exponential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,14 +17,26 @@ import numpy as np
 
 HERM_TOL = 1e-12
 STATE_TOL = 1e-10
-# a grid of more than this many steps (t_max / dt) is rejected, by
-# ordered_exponential and brach.grid_steps: 20x the longest documented run,
-# the census at t_max 50, dt 1e-3
+# a grid of more than this many steps (t_max / dt) is rejected by
+# grid_steps: 20x the longest documented run, the census at t_max 50, dt 1e-3
 MAX_STEPS = 10**6
 
 
 class ValidationError(ValueError):
     """Raised when a matrix/state fails a structural precondition."""
+
+
+def grid_steps(t_max: float, dt: float) -> int:
+    """The number of steps of dt that a run to t_max takes, round(t_max /
+    dt).  t_max and dt must be finite, with dt > 0, t_max >= dt and at most
+    MAX_STEPS steps; a bad grid raises ValidationError."""
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValidationError("t_max and dt must be finite")
+    if dt <= 0 or t_max < dt:
+        raise ValidationError("need dt > 0 and t_max >= dt")
+    if t_max / dt > MAX_STEPS:
+        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
+    return int(round(t_max / dt))
 
 
 def as_matrix(M, stack: bool = False) -> np.ndarray:
@@ -106,18 +119,10 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     step propagator is built in one batched product, and only the ordered
     product U = U_k @ U runs step by step.  Recovers the closed-form
     exponential only when the integrand self-commutes; otherwise it is the
-    time-ordered propagator.  A t_max or dt that is not finite, a dt <= 0,
-    a dt > t_max or more than MAX_STEPS steps raises ValidationError before
-    H is called.
+    time-ordered propagator.  A grid that grid_steps rejects raises
+    ValidationError before H is called.
     """
-    if not (np.isfinite(t_max) and np.isfinite(dt)):
-        raise ValidationError("t_max and dt must be finite")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if dt > t_max:
-        raise ValidationError("dt must not exceed t_max")
-    if t_max / dt > MAX_STEPS:
-        raise ValidationError(f"t_max / dt exceeds {MAX_STEPS} steps")
+    grid_steps(t_max, dt)
     n_full = int(t_max / dt)
     remainder = t_max - n_full * dt
     # t_k as the running sum of the steps, the last one the remainder's start

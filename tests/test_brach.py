@@ -473,12 +473,11 @@ class TestRk4Path:
         dt = 5e-2
         members = [brach._member(*family_run(n, kind), dt)
                    for n, kind in ((3, "tridiagonal"), (4, "antidiagonal"))]
-        terms = brach._joined([(t, len(z0)) for z0, t, _, _ in members])
-        z = np.concatenate([z0 for z0, _, _, _ in members])
-        psi_parts, lo = [], 0
-        for z0, _, m, _ in members:
-            psi_parts.append((lo + m, lo + len(z0)))
-            lo += len(z0)
+        terms, z, cols = brach._joined([(t, z0) for z0, t, _, _ in members])
+        assert cols == [slice(0, len(members[0][0])),
+                        slice(len(members[0][0]), len(z))]
+        psi_parts = [(c.start + m, c.stop)
+                     for (_, _, m, _), c in zip(members, cols)]
         path = brach.rk4_path(terms, z, 40, dt, psi_parts)
         assert path.shape == (41, len(z))
         assert np.array_equal(path[0], z)

@@ -437,7 +437,7 @@ class TestPartitions:
         # these once took no step (t_max 0) or died in numpy or Python with
         # a negative dimension, a ZeroDivisionError or an OverflowError;
         # t_max 4e-4 (round(0.4) steps) once took one step, and a grid
-        # over brach.MAX_STEPS was capped in `run` only
+        # over matcore.MAX_STEPS was capped in `run` only
         with pytest.raises(ValidationError):
             catalog.su3_partitions(t_max=t_max, dt=dt)
 
@@ -472,20 +472,22 @@ class TestPartitions:
         # a NaN in pair 3's f (Tr H^2 stays put) from row 3
         results = catalog.su3_partitions(t_max=1e-3, dt=1e-3)
         problems = [r.problem for r in results]
-        y0 = np.concatenate([p.coefficients(r.H0, r.F0)
-                             for p, r in zip(problems, results)])
+        _, y0, cols = brach._joined([(p._terms, p.coefficients(r.H0, r.F0))
+                                     for p, r in zip(problems, results)])
         paths = np.tile(y0, (8, 1))
-        paths[5:, :2] *= 2
-        catalog._check_drift(problems, paths[:5], 0.5)
-        paths[3:, 8 * 2 + 7] = np.nan
+        h1 = slice(cols[0].start, cols[0].start + 2)
+        f3 = cols[2].stop - 1
+        paths[5:, h1] *= 2
+        catalog._check_drift(problems, paths[:5], cols, 0.5)
+        paths[3:, f3] = np.nan
         with pytest.raises(brach.DriftAbort) as info:
-            catalog._check_drift(problems, paths, 0.5)
+            catalog._check_drift(problems, paths, cols, 0.5)
         assert info.value.diagnostics == {"t": 1.5, "step": 3,
                                           "trH2_drift": 0.0}
         assert str(info.value).startswith("census pair 3: ")
-        paths[3:, 8 * 2 + 7] = y0[8 * 2 + 7]
+        paths[3:, f3] = y0[f3]
         with pytest.raises(brach.DriftAbort) as info:
-            catalog._check_drift(problems, paths, 0.5)
+            catalog._check_drift(problems, paths, cols, 0.5)
         assert info.value.diagnostics == {"t": 2.5, "step": 5,
                                           "trH2_drift": 3.0}
         assert str(info.value).startswith("census pair 1: ")

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbrach import brach, catalog, cli
+from qbrach import brach, catalog, cli, matcore
 
 
 def run_cli(args):
@@ -199,10 +199,10 @@ class TestRunGrid:
                                 _must_not_run)
         else:
             monkeypatch.setattr(catalog, attr, _must_not_run)
-        t_max = 2 * brach.MAX_STEPS * 1e-3
+        t_max = 2 * matcore.MAX_STEPS * 1e-3
         assert run_cli(["run", "--scenario", scenario,
                         "--t-max", repr(t_max), "--dt", "1e-3"]) == 65
-        assert str(brach.MAX_STEPS) in capsys.readouterr().err
+        assert str(matcore.MAX_STEPS) in capsys.readouterr().err
 
 
 def _no_work_before_the_out_check(*args, **kwargs):
@@ -255,6 +255,32 @@ class TestCensusContract:
         monkeypatch.setattr(catalog, "su3_partitions", _must_not_run)
         assert run_cli(["run", "--scenario", "su3-partitions",
                         "--param", "bogus=1", "--t-max", "0.01"]) == 65
+
+    def test_csv_rows_equal_json_rows(self, tmp_path):
+        # on this grid pair 2 is periodic and pair 3 is not, so the period
+        # field is written both as a number and empty
+        argv = ["run", "--scenario", "su3-partitions", "--t-max", "12",
+                "--dt", "2e-3"]
+        assert run_cli([*argv, "--out", str(tmp_path / "c.csv")]) == 0
+        assert run_cli([*argv, "--format", "json",
+                        "--out", str(tmp_path / "c.json")]) == 0
+        header, *lines = (tmp_path / "c.csv").read_text().splitlines()
+        data = json.loads((tmp_path / "c.json").read_text())
+        assert header == "pair,description,classification,period," \
+            "max_excursion"
+        assert len(lines) == len(data) == 4
+        assert [d["classification"] for d in data] == \
+            ["constant", "periodic", "neither", "constant"]
+        for line, d, row in zip(lines, data, csv.reader(lines)):
+            assert line.startswith(f'{d["pair"]},"{d["description"]}",')
+            pair, desc, cls, period, excursion = row
+            assert (int(pair), desc, cls) == \
+                (d["pair"], d["description"], d["classification"])
+            if d["period"] is None:
+                assert period == ""
+            else:
+                assert float(period) == d["period"]
+            assert float(excursion) == d["max_excursion"]
 
 
 class TestRunCsv:

@@ -143,6 +143,34 @@ class TestDihedral:
         assert set(np.unique(closure["table"])) <= set(range(n))
 
 
+class TestGroupClosure:
+    # the dihedral check passes all six elements, so it adds no product;
+    # these close from generators
+
+    def test_three_cycle_and_transposition_close_to_s3(self):
+        cycle = np.eye(3)[[1, 2, 0]]
+        swap = np.eye(3)[[1, 0, 2]]
+        closure = gates.group_closure([cycle, swap])
+        assert closure["order"] == 6
+        assert not closure["abelian"]
+        n = closure["order"]
+        assert sorted(np.unique(closure["table"])) == list(range(n))
+
+    @staticmethod
+    def _phase_gate(order):
+        w = np.exp(2j * np.pi / order)
+        return np.diag([1, w, w.conjugate()])
+
+    def test_cyclic_group_at_the_size_guard_closes(self):
+        closure = gates.group_closure([self._phase_gate(24)])
+        assert closure["order"] == gates.CLOSURE_MAX_ORDER == 24
+        assert closure["abelian"]
+
+    def test_cyclic_group_past_the_size_guard_raises(self):
+        with pytest.raises(ValidationError, match="exceeds 24 elements"):
+            gates.group_closure([self._phase_gate(25)])
+
+
 class TestFourLevel:
     def test_catalog_unitarity(self):
         rows = gates.catalog_at(0.4)

@@ -156,6 +156,16 @@ class TestStackedOrderedExponential:
         with pytest.raises(mc.ValidationError, match="finite"):
             mc.ordered_exponential(H, t_max, dt)
 
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 0.0), (1.0, -1e-3),
+                                           (1e-3, 1e-2)])
+    def test_rejects_a_grid_without_a_full_step(self, t_max, dt):
+        def H(t):
+            raise AssertionError("H called on a grid without a full step")
+
+        with pytest.raises(mc.ValidationError,
+                           match="need dt > 0 and t_max >= dt"):
+            mc.ordered_exponential(H, t_max, dt)
+
     @pytest.mark.parametrize("t_max, dt", [(1e18, 1e-3), (2e3, 1e-3)])
     def test_rejects_a_grid_over_the_step_cap(self, t_max, dt):
         def H(t):
