@@ -22,6 +22,7 @@ from .matcore import (ValidationError, check_hermitian, hermitian_eig,
 from .brach import (DRIFT_ABORT, ControlProblem, DriftAbort, Samples,
                     _coordinates, _joined, grid_steps, integrate, rk4_path,
                     rk4_step)
+from .special import fd_derivative
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -328,21 +329,15 @@ def elliptic_printed_state(R: float, Omega: float, z: Sequence[complex],
 # three-level geodesic family
 # ---------------------------------------------------------------------------
 
-def scenario_su3_geodesic(eps1_0: complex | None = None,
-                          kappa: complex = 1 / np.sqrt(3),
-                          theta: float | None = None,
-                          R: float | None = None) -> Scenario:
+def scenario_su3_geodesic(eps1_0: complex = 1.0,
+                          kappa: complex = 1 / np.sqrt(3)) -> Scenario:
     """Three-level ladder driver with a corner constraint (omega1=omega2=0).
 
     U(t) = exp(+itF) exp(-it(H(0)+F)); minimum transfer time e1 -> e3 is
     pi/(2|kappa|), equal to sqrt(3) pi/(2|eps1(0)|) on the consistency locus
-    |kappa| = |eps1(0)|/sqrt(3).  eps1(0) defaults to 1; R, if given
-    instead, sets it to the real value R.  Giving both is rejected.
+    |kappa| = |eps1(0)|/sqrt(3).  The phase theta of H's (2, 3) entry
+    follows from arg(eps1(0)) and arg(kappa).
     """
-    if eps1_0 is None:
-        eps1_0 = 1.0 if R is None else R
-    elif R is not None:
-        raise ValidationError("eps1_0 and R both set eps1(0): give one")
     eps1_0, kappa = complex(eps1_0), complex(kappa)
     if abs(kappa) == 0:
         raise ValidationError("kappa must be nonzero")
@@ -351,14 +346,7 @@ def scenario_su3_geodesic(eps1_0: complex | None = None,
     R = abs(eps1_0)
     kmod = abs(kappa)
     phi = np.angle(eps1_0)
-    theta_computed = float(np.angle(1j * np.exp(1j * phi) * np.conj(kappa)))
-    if theta is not None:
-        dev = abs(np.exp(1j * theta) - np.exp(1j * theta_computed))
-        if not dev <= 1e-8:   # NaN-safe
-            raise ValidationError(
-                "theta inconsistent with arg(eps1(0)) and arg(kappa): "
-                f"expected {theta_computed:.12f}")
-    theta = theta_computed
+    theta = float(np.angle(1j * np.exp(1j * phi) * np.conj(kappa)))
     Delta = np.sqrt(kmod**2 + R**2)
     H0 = np.array([[0, eps1_0, 0], [np.conj(eps1_0), 0, 0], [0, 0, 0]])
     F = np.array([[0, 0, kappa], [0, 0, 0], [np.conj(kappa), 0, 0]])
@@ -866,7 +854,6 @@ def validate(scenario: Scenario) -> ValidationReport:
 def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
     """Checks (a) of validate_all on the grid of 100 times over [0, T]."""
     grid = np.linspace(0.0, T, 100)
-    h = 1e-6
     dev = {}
 
     U = scenario.propagator_at(grid)
@@ -875,7 +862,7 @@ def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
     psi = scenario.state_at(grid)
     dev["state_vs_propagator"] = float(np.max(np.abs(
         psi - U @ scenario.psi0)))
-    dpsi = (scenario.state_at(grid + h) - scenario.state_at(grid - h)) / (2 * h)
+    dpsi = fd_derivative(scenario.state_at, grid, 1)
     H = scenario.hamiltonian_at(grid)
     dev["schrodinger_residual"] = float(np.max(np.abs(
         1j * dpsi - (H @ psi[..., None])[..., 0])))

@@ -227,12 +227,11 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
             abs(special.greens_spinwave(1, t)
                 - (-1j) * special.bessel_J(1, 2 * t)))
     # lattice recursion on the energy-shifted kernel
-    h = 1e-5
+    def Kt(n, tt):
+        return np.exp(-2j * tt) * special.greens_spinwave(n, tt)
     worst = 0.0
     for dq in range(-5, 6):
-        def Kt(n, tt):
-            return np.exp(-2j * tt) * special.greens_spinwave(n, tt)
-        dK = (Kt(dq, t + h) - Kt(dq, t - h)) / (2 * h)
+        dK = special.fd_derivative(lambda tt: Kt(dq, tt), t, 1)
         worst = max(worst, abs(1j * dK - (2 * Kt(dq, t)
                                           - Kt(dq + 1, t) - Kt(dq - 1, t))))
     env.add("spinwave-lattice-recursion", worst, 1e-6)

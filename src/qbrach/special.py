@@ -150,22 +150,29 @@ class RationalFunction:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def fd_derivative(f: Callable[[float], complex], x: float, order: int,
-                  npoints: int = 11, h: float = 0.02) -> complex:
-    """Central finite-difference derivative on an npoints-wide stencil.
+FD_POINTS = 11    # width of the one central-difference stencil
+FD_STEP = 5e-3    # its spacing, small because the oscillator checks reach
+                  # z = 0.9, 0.1 from beta's branch point at z = 1
 
-    The stencil weights are exact for polynomials of degree < npoints, so
-    wide stencils with a moderate step avoid the cancellation floor of
-    the three-point formulas.
+
+def fd_derivative(f: Callable, x, order: int):
+    """Central finite-difference derivative of the given order on the
+    FD_POINTS-wide stencil of spacing FD_STEP; x may be an array if f
+    takes one.
+
+    The weights are solved on the integer offsets (Fornberg, Math. Comp.
+    51 (1988) 699) and scaled by FD_STEP**order; they are exact for
+    polynomials of degree < FD_POINTS.
     """
-    if npoints % 2 == 0 or order >= npoints:
-        raise ValidationError("need an odd stencil wider than the order")
-    k = np.arange(npoints) - npoints // 2
-    V = np.vander(k * h, npoints, increasing=True).T
-    rhs = np.zeros(npoints)
+    if not 0 < order < FD_POINTS:
+        raise ValidationError(
+            f"derivative order must be in 1..{FD_POINTS - 1}, got {order}")
+    k = np.arange(FD_POINTS) - FD_POINTS // 2
+    rhs = np.zeros(FD_POINTS)
     rhs[order] = math.factorial(order)
-    w = np.linalg.solve(V, rhs)
-    return sum(wi * f(x + ki * h) for wi, ki in zip(w, k))
+    w = np.linalg.solve(np.vander(k, increasing=True).T, rhs)
+    return sum(wi * f(x + ki * FD_STEP) for wi, ki in zip(w, k)) \
+        / FD_STEP**order
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +226,13 @@ def _cheb_pair(m: int, x: float):
 
 def cheb_ode_residual(m: int, x: float) -> float:
     """|(1-x^2) T_m'' - x T_m' + m^2 T_m| with stencil derivatives that
-    are exact for polynomial degree <= 12 (so the residual reflects the
+    are exact for polynomial degree <= 10 (so the residual reflects the
     recursion values, not truncation error)."""
     if m > 10:
         raise ValidationError("ODE residual check supports m <= 10")
     f = lambda u: cheb_T(m, u)          # noqa: E731
-    d1 = fd_derivative(f, x, 1, npoints=13, h=0.05).real
-    d2 = fd_derivative(f, x, 2, npoints=13, h=0.05).real
+    d1 = fd_derivative(f, x, 1).real
+    d2 = fd_derivative(f, x, 2).real
     return abs((1 - x * x) * d2 - x * d1 + m * m * cheb_T(m, x))
 
 
@@ -261,8 +268,8 @@ def bessel_ode_residual(n: int, r: float) -> float:
     derivatives (the standard radial equation; the variant printed with
     (n^2 - r^2) fails this check)."""
     f = lambda u: bessel_J(n, u)        # noqa: E731
-    d1 = fd_derivative(f, r, 1, npoints=9, h=0.05).real
-    d2 = fd_derivative(f, r, 2, npoints=9, h=0.05).real
+    d1 = fd_derivative(f, r, 1).real
+    d2 = fd_derivative(f, r, 2).real
     return abs(r * r * d2 + r * d1 + (r * r - n * n) * bessel_J(n, r))
 
 
@@ -339,23 +346,20 @@ def oscillator_beta(z: float, alpha: float) -> complex:
 
 
 def oscillator_ode_residual(z: float, alpha: float) -> float:
-    """|i beta' - (1 - alpha z)/sqrt(1-z^2) beta| by central differences."""
-    b, h = oscillator_beta, 1e-5
-    d = (b(z + h, alpha) - b(z - h, alpha)) / (2 * h)
-    return abs(1j * d - (1 - alpha * z) / np.sqrt(1 - z * z)
-               * b(z, alpha))
+    """|i beta' - (1 - alpha z)/sqrt(1-z^2) beta|."""
+    b = functools.partial(oscillator_beta, alpha=alpha)
+    return abs(1j * fd_derivative(b, z, 1)
+               - (1 - alpha * z) / np.sqrt(1 - z * z) * b(z))
 
 
 def oscillator_second_order_residual(z: float, alpha: float) -> float:
     """Residual of the second-order form
     (1-z^2) b'' + (alpha(1-z^2)/(1-alpha z) - z) b' + (1-alpha z)^2 b = 0."""
-    b, h = oscillator_beta, 1e-4
-    b0 = b(z, alpha)
-    d1 = (b(z + h, alpha) - b(z - h, alpha)) / (2 * h)
-    d2 = (b(z + h, alpha) - 2 * b0 + b(z - h, alpha)) / h**2
-    return abs((1 - z * z) * d2
-               + (alpha * (1 - z * z) / (1 - alpha * z) - z) * d1
-               + (1 - alpha * z) ** 2 * b0)
+    b = functools.partial(oscillator_beta, alpha=alpha)
+    return abs((1 - z * z) * fd_derivative(b, z, 2)
+               + (alpha * (1 - z * z) / (1 - alpha * z) - z)
+               * fd_derivative(b, z, 1)
+               + (1 - alpha * z) ** 2 * b(z))
 
 
 def cosine_frame_identities(psi: Callable[[float], complex],
@@ -375,10 +379,10 @@ def cosine_frame_identities(psi: Callable[[float], complex],
     def g(c):
         return psi(np.cos(c))
 
-    p_chi = fd_derivative(g, chi, 1, npoints=5, h=1e-3)
-    p_chichi = fd_derivative(g, chi, 2, npoints=5, h=1e-3)
-    p_z = fd_derivative(psi, z, 1, npoints=5, h=1e-3)
-    p_zz = fd_derivative(psi, z, 2, npoints=5, h=1e-3)
+    p_chi = fd_derivative(g, chi, 1)
+    p_chichi = fd_derivative(g, chi, 2)
+    p_z = fd_derivative(psi, z, 1)
+    p_zz = fd_derivative(psi, z, 2)
     cot = np.cos(chi) / np.sin(chi)
     return {
         "second_order_forward": abs(p_chichi

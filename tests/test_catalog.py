@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbrach import brach, catalog, report
 from qbrach.matcore import ValidationError, expm_h
+from qbrach.special import fd_derivative
 
 
 ALL_BUILDERS = list(catalog.SCENARIO_BUILDERS.items())
@@ -43,6 +44,9 @@ class TestValidation:
     def test_scenario_self_consistent(self, name, builder):
         rep = catalog.validate(builder())
         assert rep.max_deviation() <= 1e-6, rep.deviations
+        # at rounding level: a three-point quotient's truncation error once
+        # put it at up to 1.5e-9
+        assert rep.deviations["schrodinger_residual"] <= 1e-11
 
     def test_su2_off_locus_parameters(self):
         rep = catalog.validate(catalog.scenario_su2(1.0, 0.7))
@@ -178,9 +182,9 @@ class TestTimeArrays:
         # the grid checks of validate, taken one scalar time at a time
         scn = catalog.scenario_dirac()
         rep = catalog.validate(scn)
-        grid, h = np.linspace(0.0, scn.period, 100).tolist(), 1e-6
+        grid = np.linspace(0.0, scn.period, 100).tolist()
         schro = max(float(np.max(np.abs(
-            1j * (scn.state_at(t + h) - scn.state_at(t - h)) / (2 * h)
+            1j * fd_derivative(scn.state_at, t, 1)
             - scn.hamiltonian_at(t) @ scn.state_at(t)))) for t in grid)
         trhf = max(abs(float(np.trace(scn.hamiltonian_at(t)
                                       @ scn.constraint_at(t)).real))
@@ -250,21 +254,6 @@ class TestGeodesic:
         assert scn.min_time == pytest.approx(np.sqrt(3) * np.pi / 2)
         psi = scn.state_at(scn.min_time)
         assert 1 - abs(psi[2]) ** 2 < 1e-10
-
-    def test_R_alias(self):
-        scn = catalog.scenario_su3_geodesic(R=2.0)
-        assert abs(scn.params["eps1_0"]) == pytest.approx(2.0)
-
-    def test_rejects_eps1_0_with_R(self):
-        # R once overrode eps1_0 silently
-        with pytest.raises(ValidationError, match="give one"):
-            catalog.scenario_su3_geodesic(eps1_0=2.0, R=1.0)
-
-    def test_rejects_inconsistent_theta(self):
-        for theta in (1.0, np.nan):
-            with pytest.raises(ValidationError):
-                catalog.scenario_su3_geodesic(1.0, 1 / np.sqrt(3),
-                                              theta=theta)
 
 
 class TestFrenet:

@@ -69,7 +69,7 @@ class TestExitCodes:
         ("so3", "eps=1e200"), ("su2", "eps0=1e200"), ("su2", "Omega=1e200"),
         ("frenet", "C=1e300"), ("frenet", "A=1e200"), ("frenet", "N=1e200"),
         ("dirac", "xi1=nan"), ("su4-heisenberg", "lambda_x=1e200"),
-        ("su3-geodesic", "R=1e300")])
+        ("su3-geodesic", "eps1_0=1e300")])
     def test_out_of_range_param_rejected_before_any_row(self, scenario,
                                                         param, capsys):
         # each of these once wrote NaN or inf rows, or died with an
@@ -80,10 +80,12 @@ class TestExitCodes:
         assert out == ""
         assert "bad parameters" in err
 
-    def test_geodesic_eps1_0_and_R_rejected(self, capsys):
-        # R once overrode eps1_0 silently: these rows were R=1's
+    @pytest.mark.parametrize("param", ["R=1", "theta=0.5"])
+    def test_geodesic_derived_params_rejected(self, param, capsys):
+        # R was an alias that once overrode eps1_0 silently, and theta is
+        # derived from eps1_0 and kappa: neither is a parameter
         assert run_cli(["run", "--scenario", "su3-geodesic", "--param",
-                        "eps1_0=2", "--param", "R=1", "--t-max", "0.1"]) == 65
+                        param, "--t-max", "0.1"]) == 65
         out, err = capsys.readouterr()
         assert out == ""
         assert "bad parameters" in err
@@ -130,15 +132,14 @@ class TestExitCodes:
     def test_non_finite_param_rejected_before_builder(self, value,
                                                       monkeypatch, capsys):
         # a NaN or infinite real or imaginary part is named and rejected
-        # before any builder runs (theta=nan once passed su3-geodesic's
-        # consistency check and wrote rows)
+        # before any builder runs
         monkeypatch.setitem(catalog.SCENARIO_BUILDERS, "su3-geodesic",
                             _must_not_run)
         assert run_cli(["run", "--scenario", "su3-geodesic", "--param",
-                        f"theta={value}", "--t-max", "0.1"]) == 65
+                        f"kappa={value}", "--t-max", "0.1"]) == 65
         out, err = capsys.readouterr()
         assert out == ""
-        assert "bad parameters: theta is not finite" in err
+        assert "bad parameters: kappa is not finite" in err
 
     def test_overflow_names_the_param(self, capsys):
         assert run_cli(["run", "--scenario", "so3", "--param", "n_z=0.5",
@@ -314,7 +315,7 @@ class TestRunCsv:
     def test_geodesic_final_fidelity(self, tmp_path):
         out = tmp_path / "g.csv"
         assert run_cli(["run", "--scenario", "su3-geodesic",
-                        "--param", "R=1", "--param", "kappa=0.57735",
+                        "--param", "eps1_0=1", "--param", "kappa=0.57735",
                         "--t-max", "2.7207", "--dt", "1e-3",
                         "--out", str(out)]) == 0
         last = out.read_text().splitlines()[-1].split(",")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,25 @@ class TestPolynomial:
                              Polynomial([0, 2, 2])).reduced()
         assert r.numerator.coefficients == (Fraction(1),)
         assert r.denominator.coefficients == (Fraction(2),)
+
+
+class TestFdDerivative:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("x", [0.7, np.array([-1.3, 0.4, 2.0])],
+                             ids=["scalar", "array"])
+    def test_exact_on_monomials(self, order, x):
+        # d^order/dx^order x^d = d!/(d-order)! x^(d-order), zero for d < order
+        for d in range(sp.FD_POINTS):
+            exact = (math.perm(d, order) * x ** (d - order) if d >= order
+                     else 0 * x)
+            got = sp.fd_derivative(lambda u: u ** d, x, order)
+            assert np.shape(got) == np.shape(x)
+            assert got == pytest.approx(exact, rel=1e-9, abs=1e-9), d
+
+    @pytest.mark.parametrize("order", [0, sp.FD_POINTS])
+    def test_order_out_of_range(self, order):
+        with pytest.raises(ValidationError, match="derivative order"):
+            sp.fd_derivative(np.sin, 0.3, order)
 
 
 class TestChebyshev:
