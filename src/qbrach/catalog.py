@@ -101,7 +101,6 @@ class Scenario:
 
     name: str
     dim: int
-    params: dict
     hamiltonian_at: Callable[[float], np.ndarray]
     propagator_at: Callable[[float], np.ndarray]
     constraint_at: Callable[[float], np.ndarray]
@@ -191,7 +190,6 @@ def scenario_su2(k: float = 1.0, Omega: float = 0.0,
     )
     return Scenario(
         name="su2", dim=2,
-        params={"k": k, "Omega": Omega, "eps0": eps0},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(Omega * SIGMA_Z, H0),
         constraint_at=_constant(Omega * SIGMA_Z),
@@ -239,7 +237,6 @@ def scenario_so3(n_z: float = 0.6, eps: complex = 0.8) -> Scenario:
         constraint_basis=[])
     return Scenario(
         name="so3", dim=3,
-        params={"n_z": n_z, "eps": eps},
         hamiltonian_at=_constant(H),
         propagator_at=prop,
         constraint_at=_constant(np.zeros((3, 3), dtype=complex)),
@@ -293,7 +290,6 @@ def scenario_su3_elliptic(R: float = 1.0, Omega: float = 1.0,
         constraint_basis=[_sym(3, 0, 2)])
     return Scenario(
         name="su3-elliptic", dim=3,
-        params={"R": R, "Omega": Omega, "Delta0": tuple(D)},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(Omega * _CORNER, H0),
         constraint_at=_constant(Omega * _CORNER),
@@ -381,7 +377,6 @@ def scenario_su3_geodesic(eps1_0: complex = 1.0,
     )
     return Scenario(
         name="su3-geodesic", dim=3,
-        params={"eps1_0": eps1_0, "kappa": kappa, "theta": theta},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(F, H0),
         constraint_at=_constant(F),
@@ -443,7 +438,6 @@ def scenario_frenet(A: float | None = None, B: float = 0.5,
         constraint_basis=[_asym(3, 0, 2)])
     return Scenario(
         name="frenet", dim=3,
-        params={"A": A, "B": B, "C": C, "N": N, "eta": eta},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(eta * MF, ham(0.0)),
         constraint_at=_constant(eta * MF),
@@ -460,7 +454,8 @@ def scenario_frenet(A: float | None = None, B: float = 0.5,
 def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
     """Isotropic-exchange driver with lambda_y = -lambda_x, lambda_z = 0.
 
-    H is constant; from e1 the state is (cos 2 lx t, 0, 0, -i sin 2 lx t),
+    H is constant, so the flow rotates F: F(t) = U(t) F0 U(t)^dag.  From e1
+    the state is (cos 2 lx t, 0, 0, -i sin 2 lx t),
     reaching the maximally entangled (|00> - i|11>)/sqrt(2) at t = pi/(8 lx).
     The printed transfer-time claim T = pi/lambda_x is recorded alongside the
     computed first-passage time; neither is asserted as "the" minimum.
@@ -476,8 +471,12 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
                      for a in "xyz" for b in "xyz" if a != b])
     H0 = lx * (np.kron(SIGMA_X, SIGMA_X) - np.kron(SIGMA_Y, SIGMA_Y))
     rng = np.random.default_rng(seed)
-    coeffs = rng.normal(scale=0.5, size=len(constraint))
-    F0 = sum(c * g for c, g in zip(coeffs, constraint))
+    F0 = _combine(4, rng.normal(scale=0.5, size=len(constraint)), constraint)
+    propagator = _frame_propagator(np.zeros((4, 4)), H0)
+
+    def constraint_at(t):
+        U = propagator(t)
+        return U @ F0 @ U.conj().swapaxes(-1, -2)
 
     def state(t):
         return _stack(t, [np.cos(2 * lx * t), 0, 0,
@@ -489,10 +488,9 @@ def scenario_su4_heisenberg(lambda_x: float = 1.0, seed: int = 42) -> Scenario:
                              constraint_basis=constraint)
     return Scenario(
         name="su4-heisenberg", dim=4,
-        params={"lambda_x": lx},
         hamiltonian_at=_constant(H0),
-        propagator_at=_frame_propagator(np.zeros((4, 4)), H0),
-        constraint_at=_constant(F0),
+        propagator_at=propagator,
+        constraint_at=constraint_at,
         psi0=psi0,
         target=bell,
         period=np.pi / abs(lx),
@@ -541,8 +539,6 @@ def scenario_dirac(alpha: float = 0.5, p_z: float = 0.5,
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
     return Scenario(
         name="dirac", dim=4,
-        params={"alpha": alpha, "p_z": p_z, "eps": eps,
-                "xi1": xi1, "xi2": xi2},
         hamiltonian_at=ham,
         propagator_at=_frame_propagator(-K, H0),
         constraint_at=constraint,

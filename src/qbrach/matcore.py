@@ -111,10 +111,11 @@ def expm_h(H, t: float = 1.0) -> np.ndarray:
 
 def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
                         t_max: float, dt: float) -> np.ndarray:
-    """Step-ordered product of exp(-i H(t_k + dt/2) dt), midpoint rule.
+    """Step-ordered product of exp(-i H((k + 1/2) h) h), midpoint rule on
+    the grid_steps(t_max, dt) equal steps h = t_max / n.
 
     H is called once, on the array of midpoints, and returns one matrix per
-    midpoint (or one matrix for all of them).  The (n_steps, d, d) stack is
+    midpoint (or one matrix for all of them).  The (n, d, d) stack is
     checked for finite Hermitian entries and diagonalized in one call, every
     step propagator is built in one batched product, and only the ordered
     product U = U_k @ U runs step by step.  Recovers the closed-form
@@ -122,16 +123,12 @@ def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
     time-ordered propagator.  A grid that grid_steps rejects raises
     ValidationError before H is called.
     """
-    grid_steps(t_max, dt)
-    n_full = int(t_max / dt)
-    remainder = t_max - n_full * dt
-    # t_k as the running sum of the steps, the last one the remainder's start
-    starts = np.concatenate(([0.0], np.cumsum(np.full(n_full, dt))))
-    steps = np.array([dt] * n_full + ([remainder] if remainder > 1e-15 else []))
-    mids = starts[:len(steps)] + steps / 2.0
+    n = grid_steps(t_max, dt)
+    h = t_max / n
+    mids = (np.arange(n) + 0.5) * h
     Hs = H(mids)
     Hs = np.broadcast_to(Hs, mids.shape + np.shape(Hs)[-2:])
-    Us = hermitian_eig(Hs, stack=True).expm(steps)
+    Us = hermitian_eig(Hs, stack=True).expm(h)
     U = np.eye(Hs.shape[-1], dtype=complex)
     for Uk in Us:
         U = Uk @ U

@@ -216,25 +216,22 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
 
     t = 3.0
     C = special.spinwave_lattice_oracle(t)
-    mid = C.size // 2
-    worst = 0.0
-    for dq in range(-10, 11):
-        K = special.greens_spinwave(dq, t)
-        worst = max(worst, abs(abs(C[mid + dq]) - abs(K)))
-    env.add("spinwave-lattice-oracle", worst, 1e-6)
+    dq = np.arange(-10, 11)
+    env.add("spinwave-lattice-oracle",
+            np.max(np.abs(np.abs(C[C.size // 2 + dq])
+                          - np.abs(special.greens_spinwave(dq, t)))), 1e-6)
     # printed closed form (-i)^dq J_dq(2t): conjugate phase for odd dq
     env.add("spinwave-closed-form-phase-printed",
             abs(special.greens_spinwave(1, t)
                 - (-1j) * special.bessel_J(1, 2 * t)))
-    # lattice recursion on the energy-shifted kernel
-    def Kt(n, tt):
-        return np.exp(-2j * tt) * special.greens_spinwave(n, tt)
-    worst = 0.0
-    for dq in range(-5, 6):
-        dK = special.fd_derivative(lambda tt: Kt(dq, tt), t, 1)
-        worst = max(worst, abs(1j * dK - (2 * Kt(dq, t)
-                                          - Kt(dq + 1, t) - Kt(dq - 1, t))))
-    env.add("spinwave-lattice-recursion", worst, 1e-6)
+    # lattice recursion on the energy-shifted kernel, at dq = -5..5
+    def Kt(tt):
+        return np.exp(-2j * tt) * special.greens_spinwave(np.arange(-6, 7),
+                                                          tt)
+    dK, K = special.fd_derivative(Kt, t, 1), Kt(t)
+    env.add("spinwave-lattice-recursion",
+            np.max(np.abs(1j * dK[1:-1] - (2 * K[1:-1] - K[2:] - K[:-2]))),
+            1e-6)
     total = sum(abs(special.greens_spinwave(dq, 2.0)) ** 2
                 for dq in range(-32, 33))
     env.add("spinwave-unitarity-sum", abs(total - 1.0), 1e-8)

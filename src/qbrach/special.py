@@ -176,7 +176,7 @@ def fd_derivative(f: Callable, x, order: int):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature
+# quadrature: Gauss-Legendre and the periodic trapezoid rule
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -196,6 +196,15 @@ def _gauss_legendre(f: Callable, a: float, b: float, nodes: int,
     """\\int_a^b f by the composite Gauss-Legendre rule; f takes an array."""
     x, w = _gauss_legendre_unit(nodes, panels)
     return (b - a) * np.sum(w * f(a + (b - a) * x))
+
+
+def _periodic_mean(g: Callable, nodes: int):
+    """Mean over one period of a 2 pi-periodic g by the trapezoid rule on
+    the angles -pi + 2 pi k / nodes, taken over the last axis of g(angles)
+    (g may broadcast leading axes); exact for trigonometric polynomials of
+    degree < nodes, geometric for analytic g (Trefethen & Weideman, SIAM
+    Rev. 56 (2014) 385)."""
+    return np.mean(g(-np.pi + 2 * np.pi * np.arange(nodes) / nodes), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +250,7 @@ def cheb_ode_residual(m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def bessel_J(n: int, r, nodes: int = 512):
-    """J_n(r) by periodic-trapezoid quadrature of
+    """J_n(r) by the periodic trapezoid rule on
     (1/2pi) \\int_{-pi}^{pi} e^{-i(n phi - r sin phi)} d phi
     (spectrally convergent); the tiny imaginary residual is discarded.
 
@@ -254,13 +263,10 @@ def bessel_J(n: int, r, nodes: int = 512):
     r = np.asarray(r, dtype=float)
     if abs(n) > 32 or np.any(np.abs(r) > 50):
         raise ValidationError("bessel_J supports |n| <= 32, |r| <= 50")
-    phi = -np.pi + 2 * np.pi * np.arange(nodes) / nodes
-    n_phi, sin_phi = n * phi, np.sin(phi)
-    flat = r.reshape(-1)
-    vals = np.zeros((flat.size, nodes), dtype=complex)
-    vals.real = np.cos(n_phi - flat[:, None] * sin_phi)
-    out = np.mean(vals, axis=-1).real
-    return out.reshape(r.shape) if r.ndim else float(out[0])
+    out = _periodic_mean(
+        lambda phi: np.cos(n * phi - r[..., None] * np.sin(phi)) + 0j,
+        nodes).real
+    return out if r.ndim else float(out)
 
 
 def bessel_ode_residual(n: int, r: float) -> float:
@@ -273,20 +279,23 @@ def bessel_ode_residual(n: int, r: float) -> float:
     return abs(r * r * d2 + r * d1 + (r * r - n * n) * bessel_J(n, r))
 
 
-def greens_spinwave(dq: int, t: float) -> complex:
+def greens_spinwave(dq, t):
     """Nearest-neighbor lattice Green's function
-    K(dq, t) = (1/2pi) \\int_{-pi}^{pi} e^{-i(p dq - 2 t cos p)} dp.
+    K(dq, t) = (1/2pi) \\int_{-pi}^{pi} e^{-i(p dq - 2 t cos p)} dp
+    on 1024 periodic nodes.  dq and t may be arrays, broadcast together,
+    each element as its scalar call (a scalar pair gives a complex).
 
     Equal in modulus to J_dq(2t); the printed closed form
     (-i)^dq J_dq(2t) is the complex conjugate phase (the integral gives
     (+i)^dq J_dq(2t)), a sign that flips for odd dq and is reported as a
     discrepancy rather than asserted.
     """
-    if abs(dq) > 32:
+    dq, t = np.asarray(dq), np.asarray(t, dtype=float)
+    if np.any(np.abs(dq) > 32):
         raise ValidationError("greens_spinwave supports |dq| <= 32")
-    p = -np.pi + 2 * np.pi * np.arange(1024) / 1024
-    vals = np.exp(-1j * (p * dq - 2 * t * np.cos(p)))
-    return complex(np.mean(vals))
+    K = _periodic_mean(lambda p: np.exp(
+        -1j * (p * dq[..., None] - 2 * t[..., None] * np.cos(p))), 1024)
+    return K if K.ndim else complex(K)
 
 
 LATTICE_SITES = 201    # open chain, the excitation starts at the center
@@ -559,10 +568,12 @@ def residue_at_origin(R: RationalFunction) -> dict:
         if closest <= 1e-12:
             raise ValidationError("cannot separate poles at the origin")
         radius = min(radius, 0.5 * closest)
-    z = radius * np.exp(2j * np.pi * np.arange(RESIDUE_NODES)
-                        / RESIDUE_NODES)
-    # (1/2pi i) oint f = mean of z f(z) over the nodes
-    contour = complex(np.mean(z * R.numerator(z) / R.denominator(z)))
+
+    def g(theta):
+        # (1/2pi i) oint f dz = mean of z f(z) over z = radius e^{i theta}
+        z = radius * np.exp(1j * theta)
+        return z * R.numerator(z) / R.denominator(z)
+    contour = complex(_periodic_mean(g, RESIDUE_NODES))
     return {"exact": exact, "quadrature": contour,
             "agreement": abs(contour - float(exact)),
             "radius": radius}
@@ -573,11 +584,9 @@ def residue_at_origin(R: RationalFunction) -> dict:
 # ---------------------------------------------------------------------------
 
 def gauss_chebyshev_integral(P: Polynomial) -> float:
-    """\\int_{-1}^{1} P(u)/sqrt(1-u^2) du by the 16-node Gauss-Chebyshev
-    rule, exact for deg <= 31."""
-    k = np.arange(1, 17)
-    x = np.cos((2 * k - 1) * np.pi / 32)
-    return float(np.pi / 16 * np.sum(P(x)))
+    """\\int_{-1}^{1} P(u)/sqrt(1-u^2) du as pi times the periodic mean of
+    P(cos theta) on 32 nodes, exact for deg <= 31."""
+    return float(np.pi * _periodic_mean(lambda th: P(np.cos(th)), 32))
 
 
 def weight_normalization(alpha: float) -> tuple:

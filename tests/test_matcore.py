@@ -90,36 +90,38 @@ class TestPropagation:
 
     def test_ordered_exponential_time_dependent(self):
         # H is called once on the midpoints; the reference steps one
-        # scalar midpoint at a time, t advancing by repeated addition
-        A, B = random_hermitian(3, 9), random_hermitian(3, 10)
-
-        def H(t):
-            return np.multiply.outer(np.cos(t), A) + np.multiply.outer(
-                np.sin(t), B)
-
+        # scalar midpoint (k + 1/2) h at a time, h = t_max / grid_steps
         t_max, dt = 0.2537, 1e-2
-        n_full = int(t_max / dt)
-        remainder = t_max - n_full * dt
-        want, t = np.eye(3, dtype=complex), 0.0
-        for _ in range(n_full):
-            want = mc.expm_h(H(t + dt / 2.0), dt) @ want
-            t += dt
-        want = mc.expm_h(H(t + remainder / 2.0), remainder) @ want
-        U = mc.ordered_exponential(H, t_max, dt)
+        n = mc.grid_steps(t_max, dt)
+        h = t_max / n
+        want = np.eye(3, dtype=complex)
+        for k in range(n):
+            want = mc.expm_h(_rotating((k + 0.5) * h), h) @ want
+        U = mc.ordered_exponential(_rotating, t_max, dt)
         assert np.max(np.abs(U - want)) <= 1e-14
+
+    def test_ordered_exponential_is_second_order(self):
+        # the midpoint rule on equal steps: halving h quarters the error
+        ref = mc.ordered_exponential(_rotating, 1.0, 1e-4)
+        err = [np.max(np.abs(mc.ordered_exponential(_rotating, 1.0, h) - ref))
+               for h in (0.05, 0.025)]
+        assert err[0] / err[1] == pytest.approx(4.0, rel=0.1)
+
+
+def _rotating(t):
+    """A time-dependent H, cos(t) A + sin(t) B, on a scalar or an array."""
+    A, B = random_hermitian(3, 9), random_hermitian(3, 10)
+    return np.multiply.outer(np.cos(t), A) + np.multiply.outer(np.sin(t), B)
 
 
 def _expm_h_loop(H, t_max, dt):
     """The ordered exponential with one expm_h per midpoint, a reference
     for the stacked form: H is called on the same array of midpoints."""
-    n_full = int(t_max / dt)
-    remainder = t_max - n_full * dt
-    starts = np.concatenate(([0.0], np.cumsum(np.full(n_full, dt))))
-    steps = [dt] * n_full + ([remainder] if remainder > 1e-15 else [])
-    Hs = H(starts[:len(steps)] + np.array(steps) / 2.0)
-    U = np.eye(Hs.shape[-1], dtype=complex)
-    for Hk, step in zip(Hs, steps):
-        U = mc.expm_h(Hk, step) @ U
+    n = mc.grid_steps(t_max, dt)
+    h = t_max / n
+    U = np.eye(H(0.0).shape[-1], dtype=complex)
+    for Hk in H((np.arange(n) + 0.5) * h):
+        U = mc.expm_h(Hk, h) @ U
     return U
 
 

@@ -104,6 +104,25 @@ class TestChebyshev:
             sp.cheb_T(65, 0.1)
 
 
+class TestPeriodicMean:
+    @pytest.mark.parametrize("nodes", [1, 7, 32, 64])
+    def test_exact_below_the_node_count(self, nodes):
+        # the mean of e^{ij theta} is 1 at j = 0 and 0 for 0 < |j| < nodes
+        j = np.arange(1 - nodes, nodes)
+        got = sp._periodic_mean(lambda th: np.exp(1j * j[:, None] * th),
+                                nodes)
+        assert got.shape == j.shape
+        assert np.max(np.abs(got - (j == 0))) <= 1e-14
+
+    @pytest.mark.parametrize("nodes", [1, 7, 32, 64])
+    def test_aliases_at_the_node_count(self, nodes):
+        # e^{ij theta} with j a multiple of nodes is constant on the nodes,
+        # e^{-ij pi} (1 for an even node count), and so is its mean
+        for j in (nodes, -nodes, 2 * nodes):
+            got = sp._periodic_mean(lambda th: np.exp(1j * j * th), nodes)
+            assert abs(got - np.exp(-1j * j * np.pi)) <= 1e-13
+
+
 class TestBessel:
     def test_j0_at_zero(self):
         assert sp.bessel_J(0, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -171,6 +190,30 @@ class TestSpinwave:
         total = sum(abs(sp.greens_spinwave(dq, 2.0)) ** 2
                     for dq in range(-32, 33))
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("dq, t", [
+        (np.arange(-10, 11), 3.0),
+        # a (stencil time x dq) grid, as the spin-wave recursion takes it
+        (np.arange(-6, 7), (3.0 + 5e-3 * np.arange(-5, 6))[:, None]),
+        (3, np.linspace(0.0, 5.0, 7))])
+    def test_array_equals_scalar_calls(self, dq, t):
+        got = sp.greens_spinwave(dq, t)
+        dq, t = np.broadcast_arrays(dq, t)
+        assert got.shape == dq.shape
+        assert np.array_equal(got.ravel(), [
+            sp.greens_spinwave(d, s)
+            for d, s in zip(dq.ravel().tolist(), t.ravel().tolist())])
+
+    def test_scalar_gives_complex(self):
+        assert type(sp.greens_spinwave(2, 3.0)) is complex
+
+    def test_range_check(self):
+        with pytest.raises(ValidationError):
+            sp.greens_spinwave(33, 1.0)
+        with pytest.raises(ValidationError):
+            sp.greens_spinwave(np.array([0, 5, -33]), 1.0)
+        with pytest.raises(ValidationError):
+            sp.greens_spinwave(np.arange(3)[:, None] * 20, np.ones(4))
 
     def test_lattice_oracle(self):
         t = 3.0
