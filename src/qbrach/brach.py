@@ -19,12 +19,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .matcore import ValidationError, check_hermitian, check_state, grid_steps
+from .matcore import (MAX_STEPS, ValidationError, check_hermitian,
+                      check_state, grid_steps)
 
 DRIFT_ABORT = 1e-4
 RENORM_THRESHOLD = 1e-12
-# integrate gates the states recorded over this many steps in one call
+# integrate gates the states recorded over this many grid steps in one call
 SAMPLE_BLOCK = 256
+# integrate's Taylor steps: the order of their polynomials, and the step
+# h = min(rho_{p-1}, rho_p) * TAYLOR_STEP_SCALE at order p, with
+# rho_j = ||c_j||_inf^(-1/j) from the step's coefficients c_j
+TAYLOR_ORDER = 20
+TAYLOR_STEP_SCALE = math.exp(-2.0)
 
 
 class DriftAbort(RuntimeError):
@@ -77,10 +83,11 @@ def _bilinear(terms, z) -> np.ndarray:
 
 
 def _joined(systems):
-    """Several bilinear systems laid out as one flat state z: systems holds
-    (terms, z0) pairs, placed in order.  Returns the joined term list (each
-    system's terms shifted to its place in z), z's start (the z0s one after
-    another) and each system's slice of z."""
+    """Several bilinear systems laid out as one flat state z, as the census
+    steps its four pairs: systems holds (terms, z0) pairs, placed in
+    order.  Returns the joined term list (each system's terms shifted to
+    its place in z), z's start (the z0s one after another) and each
+    system's slice of z."""
     parts, cols, offset = [], [], 0
     for (k, a, b, v), z0 in systems:
         parts.append((k + offset, a + offset, b + offset, v))
@@ -196,7 +203,9 @@ def brach_rhs(H, F, problem: ControlProblem) -> tuple:
 
 
 def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of dy/dt = rhs(y)."""
+    """One classical Runge-Kutta step of dy/dt = rhs(y).  Only the census
+    (catalog.su3_partitions) steps by RK4, until it moves to the Taylor
+    steps integrate takes."""
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
@@ -211,7 +220,8 @@ def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float,
     after s steps of dt, row 0 being z.  After each step, every unit vector
     z[lo:hi] of the (lo, hi) pairs psi_parts whose norm has moved by more
     than RENORM_THRESHOLD is renormalized.  A state that overflows gives
-    non-finite rows, without a numpy warning."""
+    non-finite rows, without a numpy warning.  The census steps by this
+    path (integrate steps by _taylor_path)."""
     def flow(v):
         return _bilinear(terms, v)
 
@@ -227,6 +237,94 @@ def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float,
                     w /= nrm
             ys[s] = z
     return ys
+
+
+def _taylor_coefficients(terms, z: np.ndarray) -> np.ndarray:
+    """The Taylor coefficients c_0 .. c_TAYLOR_ORDER, as rows, of the
+    solution through z of the bilinear system held as the term list terms
+    (see _bilinear): c_0 = z and, one Cauchy product per order,
+
+        c_{j+1} = bincount(k, v * sum_{i<=j} c_i[a] c_{j-i}[b]) / (j + 1).
+    """
+    k, a, b, v = terms
+    c = np.empty((TAYLOR_ORDER + 1, len(z)))
+    ca, cb = np.empty((TAYLOR_ORDER, len(a))), np.empty((TAYLOR_ORDER, len(b)))
+    c[0] = z
+    for j in range(TAYLOR_ORDER):
+        ca[j], cb[j] = c[j, a], c[j, b]
+        s = np.einsum("it,it->t", ca[:j + 1], cb[j::-1])
+        c[j + 1] = np.bincount(k, v * s, len(z)) / (j + 1)
+    return c
+
+
+def _taylor_step(terms, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Taylor step from z: its coefficients (see _taylor_coefficients)
+    and its length h (see TAYLOR_STEP_SCALE).  h is infinite when the last
+    two coefficients are 0, and when they are not finite (an overflowing
+    state is then held to the end of the run)."""
+    orders = np.arange(TAYLOR_ORDER - 1, TAYLOR_ORDER + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = _taylor_coefficients(terms, z)
+        rho = np.abs(c[-2:]).max(axis=1) ** (-1.0 / orders)
+    h = float(rho.min()) * TAYLOR_STEP_SCALE
+    return c, (h if h > 0 else math.inf)
+
+
+def _horner(c: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficient rows c at the times tau, as rows."""
+    Z = c[-1] * tau[:, None]
+    for cj in c[-2:0:-1]:
+        Z += cj
+        Z *= tau[:, None]
+    return Z + c[0]
+
+
+def _taylor_path(terms, z: np.ndarray, psi: slice, t_max: float):
+    """The Taylor path of the bilinear system held as the term list terms
+    from z at t = 0, as a function that takes times (increasing, none
+    before the times it was last given) and returns the states there as
+    rows, each from its step's polynomial (dense output).
+
+    The path steps (see _taylor_step) only past the last time it is given,
+    so its steps do not depend on the times.  After each step, the unit
+    vector z[psi] is renormalized if its norm has moved by more than
+    RENORM_THRESHOLD.  A first step that puts t_max more than MAX_STEPS
+    steps away raises ValidationError here; a path that takes more than
+    MAX_STEPS steps raises it when it does.  A state that overflows gives
+    non-finite rows, without a numpy warning.
+    """
+    c, h = _taylor_step(terms, z)
+    if t_max / h > MAX_STEPS:
+        raise ValidationError(
+            f"t_max {t_max:g} is over {MAX_STEPS} Taylor steps away "
+            f"(first step {h:.3e})")
+    t0, n_steps = 0.0, 1
+
+    def states(t: np.ndarray) -> np.ndarray:
+        nonlocal c, h, t0, n_steps
+        out = np.empty((len(t), c.shape[1]))
+        i = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                j = int(np.searchsorted(t, t0 + h, side="right"))
+                out[i:j] = _horner(c, t[i:j] - t0)
+                if j == len(t):
+                    return out
+                i = j
+                n_steps += 1
+                if n_steps > MAX_STEPS:
+                    raise ValidationError(
+                        f"more than {MAX_STEPS} Taylor steps before "
+                        f"t = {t[i]:g}")
+                z = _horner(c, np.array([h]))[0]
+                w = z[psi]
+                nrm = math.sqrt(w @ w)
+                if abs(nrm - 1.0) > RENORM_THRESHOLD:
+                    w /= nrm
+                t0 += h
+                c, h = _taylor_step(terms, z)
+
+    return states
 
 
 class Samples(NamedTuple):
@@ -344,29 +442,34 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
 
 
 def integrate(runs, t_max: float, dt: float, record_every: int = 1):
-    """Fixed-step RK4 on the runs (problem, H0, F0, psi0) on one grid.
+    """The runs (problem, H0, F0, psi0), each stepped alone by Taylor
+    series and recorded on one grid of dt.
 
     Returns a generator of blocks, each one Samples per run, whose rows are
     step 0, every record_every-th step and the last of grid_steps(t_max,
-    dt).  The runs are one flat state, each run's z = (h, f, psi) in its
-    slice (see _joined; psi as interleaved (Re, Im) pairs), stepped by
-    rk4_path through one term list: each problem's flow terms and those of
-    dpsi = -i H psi, SAMPLE_BLOCK steps a call.  H and F stay in their
-    subspaces exactly.
-    A run's terms write only its own part, and its psi is renormalized
-    (norm drift beyond 1e-12) and its rows gated on that part, so its
-    samples are the ones it gets alone.
+    dt), at t = step * dt.  Each run's z = (h, f, psi) (psi as interleaved
+    (Re, Im) pairs) follows its own _taylor_path through its terms: its
+    problem's flow terms and those of dpsi = -i H psi.  The path picks its
+    steps from its coefficients and reads each recorded state from its
+    step's polynomial, so dt sets only where the states are recorded, not
+    their accuracy, and a run costs its steps to t_max and its records.
+    H and F stay in their subspaces exactly, and psi is renormalized
+    (norm drift beyond 1e-12) after each step.  No run's path or gate
+    reads another run's, so its samples are the ones it gets alone.
     Step 0 is gated first, then the states recorded over each SAMPLE_BLOCK
-    steps together (one stacked eigvalsh), so a sample lags the state by
-    at most SAMPLE_BLOCK steps.
+    grid steps together (one stacked eigvalsh), so a sample lags the state
+    by at most SAMPLE_BLOCK grid steps.
 
     The grid, record_every (a positive integer) and every run's input (see
-    _member) are checked here, before the first sample; bad input raises
-    ValidationError.  A run aborts at a sample where any tracked invariant
-    (norm, Tr H^2, Tr HF, spectrum of H + F) drifts beyond 1e-4 or is not
-    finite; a state that overflows aborts without a numpy warning.  If runs
-    abort, the samples before the earliest abort step are yielded and that
-    run's DriftAbort is raised (the first such run on a tie).
+    _member) are checked here, then each run's first step: a run whose
+    first step puts t_max more than MAX_STEPS steps away raises
+    ValidationError before the first sample, as does bad input, and a run
+    that takes more than MAX_STEPS steps raises it when it does.  A run
+    aborts at a sample where any tracked invariant (norm, Tr H^2, Tr HF,
+    spectrum of H + F) drifts beyond 1e-4 or is not finite; a state that
+    overflows aborts without a numpy warning.  If runs abort, the samples
+    before the earliest abort step are yielded and that run's DriftAbort is
+    raised (the first such run on a tie).
     """
     n_steps = grid_steps(t_max, dt)
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
@@ -375,15 +478,12 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
     if not runs:
         raise ValidationError("no runs to step")
     members = [_member(*run, dt) for run in runs]
-    terms, z0, cols = _joined([(t, z) for z, t, _, _ in members])
-    psi_parts = [(c.start + m, c.stop)
-                 for (_, _, m, _), c in zip(members, cols)]
+    paths = [_taylor_path(terms, z0, slice(m, None), t_max)
+             for z0, terms, m, _ in members]
 
-    def gated(steps, Z):
-        # a run's columns are copied whole, so its gate sees the layout of
-        # a run stepped alone (no copy when there is one run)
-        results = [gate(steps, np.ascontiguousarray(Z[:, c]))
-                   for (_, _, _, gate), c in zip(members, cols)]
+    def gated(steps, states):
+        results = [gate(steps, Z)
+                   for (_, _, _, gate), Z in zip(members, states)]
         aborts = [(len(block.step), i)
                   for i, (block, abort) in enumerate(results)
                   if abort is not None]
@@ -393,15 +493,14 @@ def integrate(runs, t_max: float, dt: float, record_every: int = 1):
             raise results[first][1]
 
     def blocks():
-        z = z0
-        yield from gated(np.zeros(1, dtype=int), z[None])
+        yield from gated(np.zeros(1, dtype=int),
+                         [z0[None] for z0, _, _, _ in members])
         for start in range(1, n_steps + 1, SAMPLE_BLOCK):
             steps = np.arange(start, min(start + SAMPLE_BLOCK, n_steps + 1))
-            path = rk4_path(terms, z, len(steps), dt, psi_parts)
-            z = path[-1]
-            keep = (steps % record_every == 0) | (steps == n_steps)
-            if keep.any():
-                yield from gated(steps[keep], path[1:][keep])
+            steps = steps[(steps % record_every == 0) | (steps == n_steps)]
+            if steps.size:
+                t = steps * dt
+                yield from gated(steps, [path(t) for path in paths])
 
     return blocks()
 

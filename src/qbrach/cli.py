@@ -331,8 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"default {RUN_T_MAX:g}; su3-partitions: "
                             f"{catalog.CENSUS_T_MAX:g}")
     p_run.add_argument("--dt", type=float, default=None,
-                       help=f"default {RUN_DT:g}; su3-partitions: "
-                            f"{catalog.CENSUS_DT:g}")
+                       help=f"default {RUN_DT:g}: the spacing of the rows "
+                            "(sun-family records every round(1e-3 / dt)-th "
+                            "step, and its accuracy does not depend on "
+                            "dt); su3-partitions: the census's RK4 step, "
+                            f"default {catalog.CENSUS_DT:g}")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--seed", type=int, default=42,

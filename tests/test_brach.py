@@ -42,9 +42,10 @@ def matrix_rhs(problem, H, F):
 
 
 def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
-    """integrate's samples made one at a time, each invariant by its own
-    numpy call on one state, each yielded as a Samples of scalars (one
-    row); raises DriftAbort as integrate does."""
+    """integrate's samples made one at a time: each recorded state read
+    alone from the run's Taylor path, each invariant by its own numpy call
+    on one state, each yielded as a Samples of scalars (one row); raises
+    DriftAbort as integrate does."""
     n, nd = problem.dim, len(problem._driver)
     y0 = problem.coefficients(H0, F0)
     m = len(y0)
@@ -79,14 +80,55 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
 
     z = np.concatenate([y0, np.asarray(psi0, dtype=complex).view(float)])
     yield sample(0, z)
+    path = brach._taylor_path(terms, z, slice(m, None), t_max)
     for step in range(1, n_steps + 1):
-        z = brach.rk4_step(lambda v: brach._bilinear(terms, v), z, dt)
-        w = z[m:]
-        nrm = math.sqrt(w @ w)
-        if abs(nrm - 1.0) > brach.RENORM_THRESHOLD:
-            w /= nrm
         if step % record_every == 0 or step == n_steps:
-            yield sample(step, z)
+            yield sample(step, path(np.array([step * dt]))[0])
+
+
+def stub_steps(monkeypatch, h, move):
+    """brach's Taylor step replaced by steps of length h whose polynomial
+    is the constant move(z) of the step's start z: the state recorded at
+    t in ((s - 1) h, s h] is move applied s times to the start."""
+    def step(terms, z):
+        c = np.zeros((brach.TAYLOR_ORDER + 1, len(z)))
+        c[0] = move(z)
+        return c, h
+
+    monkeypatch.setattr(brach, "_taylor_step", step)
+
+
+def shift_f(problem, delta):
+    """A move that adds delta to every constraint coordinate f: H stays, and
+    the spectrum of H + F drifts."""
+    nd = len(problem._driver)
+    m = nd + len(problem._constraint)
+
+    def move(z):
+        z = z.copy()
+        z[nd:m] += delta
+        return z
+
+    return move
+
+
+def scale_h(problem, r):
+    """A move that scales the driver coordinates h by r: Tr H^2 drifts by
+    the factor r^2 a step."""
+    nd = len(problem._driver)
+
+    def move(z):
+        z = z.copy()
+        z[:nd] *= r
+        return z
+
+    return move
+
+
+def overflow(z):
+    """A move that overflows the state within a few steps (its psi is
+    renormalized until it is not finite)."""
+    return 1e100 * z
 
 
 def one_run(problem, H0, F0, psi0, *grid):
@@ -334,11 +376,11 @@ class TestEvolve:
             brach.evolve(su2_problem(), SY + 1e-6 * SZ, SZ, psi0, 1.0,
                          dt=1e-2)
 
-    def test_spectrum_drift_aborts(self):
-        # a diagonal H is exactly constant, so with an unstable dt only the
-        # spectrum of H + F drifts
+    def test_spectrum_drift_aborts(self, monkeypatch):
+        # steps that hold H and move F: only the spectrum of H + F drifts
         fam = catalog.family_sun(3, "diagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, 1.0, shift_f(fam.problem, 0.1))
         with pytest.raises(brach.DriftAbort) as info:
             brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 4.0, dt=1.0)
         diag = info.value.diagnostics
@@ -352,10 +394,11 @@ class TestEvolve:
             brach.evolve(fam.problem, fam.H0, fam.F0, [np.nan, 0, 0, 0],
                          1.0, dt=0.1)
 
-    def test_overflow_between_samples_aborts(self):
-        # dt = 10 overflows the state long before the only recorded sample
+    def test_overflow_between_samples_aborts(self, monkeypatch):
+        # the steps overflow the state long before the only recorded sample
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, 10.0, overflow)
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(brach.DriftAbort) as info:
             warnings.simplefilter("always")
@@ -367,33 +410,59 @@ class TestEvolve:
         assert not np.isfinite(diag["eigenvalue_drift"])
         assert not np.isfinite(diag["trH2_drift"])
 
-    def test_convergence_order_four(self):
-        fam = catalog.family_sun(4, "tridiagonal")
-        psi0 = np.array([1, 0, 0, 0], dtype=complex)
-        finals = []
-        for dt in (0.1, 0.05, 0.025):
-            traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 2.0,
-                                dt=dt, record_every=10**6)
-            H, F = fam.problem.matrices(traj.y[-1])
-            finals.append(np.concatenate([H.ravel(), F.ravel(),
-                                          traj.psi[-1]]))
-        e1 = np.max(np.abs(finals[0] - finals[1]))
-        e2 = np.max(np.abs(finals[1] - finals[2]))
-        assert abs(np.log2(e1 / e2) - 4.0) < 0.3
-
-    def test_convergence_order_four_against_exact_state(self):
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 0.025, 1e-3])
+    def test_exact_state_antidiagonal(self, dt):
         # dh = 0 for the antidiagonal kind, so psi(t) = e^{-i H0 t} psi0
         # exactly (a diagonal H0 would only turn the phase of this psi0)
         fam = catalog.family_sun(4, "antidiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
-        exact = expm_h(fam.H0, 2.0) @ psi0
-        errors = [np.max(np.abs(brach.evolve(fam.problem, fam.H0, fam.F0,
-                                             psi0, 2.0, dt=dt,
-                                             record_every=10**6).psi[-1]
-                                - exact))
-                  for dt in (0.1, 0.05, 0.025)]
-        orders = np.log2(np.divide(errors[:-1], errors[1:]))
-        assert np.all(np.abs(orders - 4.0) < 0.3), orders
+        s = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 2.0, dt=dt)
+        exact = expm_h(fam.H0, s.t) @ psi0
+        assert np.max(np.abs(s.psi - exact)) < 1e-12
+
+    def test_records_do_not_depend_on_dt(self):
+        # dt only places the records: the dt 0.1 rows are the dt 1e-3 rows
+        # at the same times
+        fam = catalog.family_sun(4, "tridiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        coarse = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=0.1)
+        fine = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 1.0, dt=1e-3)
+        assert coarse.step.tolist() == list(range(11))
+        same = fine.step % 100 == 0
+        assert np.allclose(fine.t[same], coarse.t, rtol=0, atol=1e-15)
+        assert np.max(np.abs(fine.y[same] - coarse.y)) < 1e-14
+        assert np.max(np.abs(fine.psi[same] - coarse.psi)) < 1e-14
+
+
+def reversed_run(problem, H0, F0, psi0, T):
+    """The run backwards from where (problem, H0, F0, psi0) is at T: since
+    z(t) -> -z(T - t) maps the quadratic flow to itself and psi(T - t)
+    solves i dpsi/dt = -H(T - t) psi, integrating from (-H(T), -F(T),
+    psi(T)) over T returns to (-H0, -F0, psi0).  Returns the largest
+    distance from there."""
+    end = brach.evolve(problem, H0, F0, psi0, T, dt=T)
+    H, F = problem.matrices(end.y[-1])
+    back = brach.evolve(problem, -H, -F, end.psi[-1], T, dt=T)
+    H1, F1 = problem.matrices(back.y[-1])
+    return max(np.max(np.abs(H1 + H0)), np.max(np.abs(F1 + F0)),
+               np.max(np.abs(back.psi[-1] - psi0)))
+
+
+class TestTimeReversal:
+    """Oracles that hold for any accurate stepper: the flow run backwards
+    returns to its start to round-off, whatever its steps."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_family_returns_to_its_start(self, n, kind):
+        assert reversed_run(*family_run(n, kind), 1.0) < 1e-12
+
+    @pytest.mark.parametrize("name", [
+        name for name, build in catalog.SCENARIO_BUILDERS.items()
+        if build().problem is not None])
+    def test_scenario_returns_to_its_start(self, name):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        assert reversed_run(*catalog._integrator_run(scn), 1.0) < 1e-12
 
 
 class TestIntegrate:
@@ -442,28 +511,51 @@ class TestIntegrate:
             run(fam.problem, fam.H0, fam.F0, psi0, t_max, dt, record_every)
 
     def test_renormalization_holds_the_norm(self):
-        # RK4 alone lets the norm drift to about 3e-9 on this grid
         fam = catalog.family_sun(4, "antidiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 5.0, dt=5e-2)
         assert np.max(traj.norm_drift) <= brach.RENORM_THRESHOLD
 
-    def test_drift_just_above_the_limit_aborts(self):
-        # one step of dt 0.5 moves the spectrum of H + F by about 4e-4:
-        # above DRIFT_ABORT, but far below 1e-2
+    def test_drift_just_above_the_limit_aborts(self, monkeypatch):
+        # one step that moves the spectrum of H + F by about 4e-4: above
+        # DRIFT_ABORT, but far below 1e-2
         fam = catalog.family_sun(3, "diagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, 0.5, shift_f(fam.problem, 4e-4))
         with pytest.raises(brach.DriftAbort) as info:
             brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.5, dt=0.5)
         diag = info.value.diagnostics
         assert diag["step"] == 1
         assert 1e-4 < diag["eigenvalue_drift"] < 1e-3
 
-    def test_drift_just_below_the_limit_passes(self):
+    def test_drift_just_below_the_limit_passes(self, monkeypatch):
         fam = catalog.family_sun(3, "diagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, 0.3, shift_f(fam.problem, 5e-5))
         traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 0.3, dt=0.3)
         assert 1e-5 < traj.eigenvalue_drift[-1] < brach.DRIFT_ABORT
+
+    def test_step_cap_before_the_first_sample(self):
+        # the flow is quadratic, so H0 and F0 scaled by 1e7 take steps 1e7
+        # times shorter: about 4e7 steps to t = 1
+        fam = catalog.family_sun(4, "tridiagonal")
+        psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        with pytest.raises(ValidationError, match=str(brach.MAX_STEPS)):
+            brach.integrate([(fam.problem, 1e7 * fam.H0, 1e7 * fam.F0,
+                              psi0)], 1.0, 1e-3)
+
+    def test_step_cap_while_stepping(self, monkeypatch):
+        # H0 and F0 scaled by 1e3 to t = 0.019 take 104 steps, the first of
+        # them long enough for 95.5: under a cap of 100 the first step
+        # passes and a later one stops the run, after its first samples
+        fam = catalog.family_sun(5, "tridiagonal")
+        run = (fam.problem, 1e3 * fam.H0, 1e3 * fam.F0, unit_state(5))
+        monkeypatch.setattr(brach, "MAX_STEPS", 100)
+        got = []
+        with pytest.raises(ValidationError, match="more than 100 Taylor"):
+            for (block,) in brach.integrate([run], 0.019, 1e-5, 100):
+                got.append(block)
+        assert [b.step[0] for b in got][:2] == [0, 100]
 
 
 class TestRk4Path:
@@ -513,11 +605,13 @@ class TestBlockGate:
             (-(-513 // record_every) * record_every, 600)]
         assert_samples_equal(got, want)
 
-    def test_abort_inside_a_block(self):
-        # at dt 0.3 the spectrum of H + F first drifts past 1e-4 at step 5,
-        # in the middle of the first block of steps
+    def test_abort_inside_a_block(self, monkeypatch):
+        # steps of dt 0.3 that each move the spectrum of H + F by about
+        # 2.2e-5: it first drifts past 1e-4 at step 5, in the middle of the
+        # first block of steps
         fam = catalog.family_sun(3, "diagonal")
         psi0 = np.array([1, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, 0.3, shift_f(fam.problem, 2.4e-5))
         args = (fam.problem, fam.H0, fam.F0, psi0, 300.0, 0.3, 1)
         got, abort = collect(one_run(*args))
         want, ref_abort = collect(reference_samples(*args))
@@ -528,13 +622,15 @@ class TestBlockGate:
 
     @pytest.mark.parametrize("kind, dt", [("tridiagonal", 10.0),
                                           ("antidiagonal", 50.0)])
-    def test_overflowing_block_aborts_at_its_first_sample(self, kind, dt):
+    def test_overflowing_block_aborts_at_its_first_sample(self, kind, dt,
+                                                          monkeypatch):
         # the state overflows within the block, after the sample at step 1
         # has drifted: no LinAlgError from the non-finite rows and no numpy
-        # warning from stepping or gating them (at antidiagonal dt 50 the
-        # gate's products meet inf * 0)
+        # warning from stepping or gating them (the gate's products meet
+        # inf * 0)
         fam = catalog.family_sun(4, kind)
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
+        stub_steps(monkeypatch, dt, overflow)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got, abort = collect(one_run(fam.problem, fam.H0, fam.F0, psi0,
@@ -562,7 +658,7 @@ def own_abort(run, t_max, dt):
 
 
 class TestEvolveJoint:
-    """Several runs stepped together by integrate."""
+    """Several runs recorded together by integrate."""
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_mixed_members_match_each_evolve(self, record_every):
@@ -580,11 +676,14 @@ class TestEvolveJoint:
             for name, g, w in zip(brach.Samples._fields, got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w), name
 
-    def test_diverging_member_raises_its_own_abort(self):
-        # su2 and so3 stay in range at dt 10; n=4 tridiagonal overflows
+    def test_diverging_member_raises_its_own_abort(self, monkeypatch):
+        # steps that hold su2 and so3 and overflow n=4 tridiagonal (its z
+        # has 23 entries)
         runs = [catalog._integrator_run(catalog.scenario_su2()),
                 catalog._integrator_run(catalog.scenario_so3()),
                 family_run(4, "tridiagonal")]
+        stub_steps(monkeypatch, 10.0,
+                   lambda z: overflow(z) if len(z) == 23 else z)
         want = own_abort(runs[2], 10000.0, 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -600,10 +699,23 @@ class TestEvolveJoint:
         # both abort at step 1 at dt 10: the first member wins the tie
         ((("tridiagonal", 4), ("antidiagonal", 4)), 0),
         ((("antidiagonal", 4), ("tridiagonal", 4)), 0)])
-    def test_earliest_abort_wins(self, order, winner):
+    def test_earliest_abort_wins(self, order, winner, monkeypatch):
         dt = 0.3 if len(order) == 3 else 10.0
         runs = [family_run(n, kind) for kind, n in order]
+        if dt == 10.0:
+            stub_steps(monkeypatch, dt, overflow)
+            steps = [1, 1]
+        else:
+            # Tr H^2 first drifts past 1e-4 at step K when each step scales
+            # h by (1 + 1e-4)^(1 / (2K - 1)); an n-level run's z has
+            # n^2 - 1 + 2n entries
+            steps = [5, 6, 3]
+            moves = {n * n - 1 + 2 * n: scale_h(run[0], (1 + 1e-4) ** (
+                         1 / (2 * K - 1)))
+                     for (_, n), run, K in zip(order, runs, steps)}
+            stub_steps(monkeypatch, dt, lambda z: moves[len(z)](z))
         aborts = [own_abort(run, 1000 * dt, dt) for run in runs]
+        assert [a.diagnostics["step"] for a in aborts] == steps
         with pytest.raises(brach.DriftAbort) as info:
             list(brach.integrate(runs, 1000 * dt, dt))
         assert str(info.value) == str(aborts[winner])
@@ -620,7 +732,7 @@ class TestEvolveJoint:
         def no_step(*args):
             raise AssertionError("stepped before checking every member")
 
-        monkeypatch.setattr(brach, "rk4_step", no_step)
+        monkeypatch.setattr(brach, "_taylor_coefficients", no_step)
         problem, H0, F0, psi0 = family_run(3, "tridiagonal")
         if bad == "nan_psi":
             psi0 = np.array([np.nan, 0, 0], dtype=complex)

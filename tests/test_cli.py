@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import itertools
 import json
@@ -206,6 +207,22 @@ class TestRunGrid:
         assert str(matcore.MAX_STEPS) in capsys.readouterr().err
 
 
+    def test_taylor_step_cap_exits_65(self, monkeypatch, capsys):
+        # H0 and F0 scaled by 1e7 take steps 1e7 times shorter: over the
+        # step cap to t = 1, rejected before the first row
+        family_sun = catalog.family_sun
+
+        def scaled(*args, **kwargs):
+            fam = family_sun(*args, **kwargs)
+            return dataclasses.replace(fam, H0=1e7 * fam.H0, F0=1e7 * fam.F0)
+
+        monkeypatch.setattr(catalog, "family_sun", scaled)
+        assert run_cli(["run", "--scenario", "sun-family", "--param", "n=4",
+                        "--param", "kind=tridiagonal"]) == 65
+        out, err = capsys.readouterr()
+        assert out == "" and str(matcore.MAX_STEPS) in err
+
+
 def _no_work_before_the_out_check(*args, **kwargs):
     raise AssertionError("started work before checking --out")
 
@@ -395,6 +412,17 @@ class TestClosedFormBlocks:
 class TestDriftAbort:
     ARGS = ["run", "--scenario", "sun-family", "--param", "n=4",
             "--param", "kind=tridiagonal", "--t-max", "10000", "--dt", "10"]
+
+    @pytest.fixture(autouse=True)
+    def overflowing_steps(self, monkeypatch):
+        # Taylor steps of dt whose state grows 1e100-fold a step: the run
+        # drifts at step 1 and overflows after it
+        def step(terms, z):
+            c = np.zeros((brach.TAYLOR_ORDER + 1, len(z)))
+            c[0] = 1e100 * z
+            return c, 10.0
+
+        monkeypatch.setattr(brach, "_taylor_step", step)
 
     def test_out_file_not_left_behind(self, tmp_path, capsys):
         out = tmp_path / "X"
