@@ -213,15 +213,12 @@ def rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float,
-             psi_parts) -> np.ndarray:
+def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
     """The RK4 path of the bilinear system held as the term list terms (see
     _bilinear): an (n_steps + 1, len(z)) array whose row s is the state
-    after s steps of dt, row 0 being z.  After each step, every unit vector
-    z[lo:hi] of the (lo, hi) pairs psi_parts whose norm has moved by more
-    than RENORM_THRESHOLD is renormalized.  A state that overflows gives
-    non-finite rows, without a numpy warning.  The census steps by this
-    path (integrate steps by _taylor_path)."""
+    after s steps of dt, row 0 being z.  A state that overflows gives
+    non-finite rows, without a numpy warning.  Only the census steps by
+    this path (integrate steps by _taylor_path)."""
     def flow(v):
         return _bilinear(terms, v)
 
@@ -229,13 +226,7 @@ def rk4_path(terms, z: np.ndarray, n_steps: int, dt: float,
     ys[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, n_steps + 1):
-            z = rk4_step(flow, z, dt)
-            for lo, hi in psi_parts:
-                w = z[lo:hi]
-                nrm = math.sqrt(w @ w)
-                if abs(nrm - 1.0) > RENORM_THRESHOLD:
-                    w /= nrm
-            ys[s] = z
+            z = ys[s] = rk4_step(flow, z, dt)
     return ys
 
 
@@ -374,17 +365,39 @@ def _psi_terms(problem: ControlProblem, offset: int):
     return offset + i, a, offset + j, R[a, i, j]
 
 
-def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
-    """One checked run (problem, H0, F0, psi0) of integrate.
+def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
+              dt: float, record_every: int = 1):
+    """The run (problem, H0, F0, psi0), stepped by Taylor series and
+    recorded on the grid of dt.
 
-    Returns its initial state z0 = (h, f, psi), psi as interleaved (Re, Im)
-    pairs; its terms on z0's positions (the problem's flow terms and those
-    of dpsi = -i H psi); the position m where psi starts; and gate, which
-    takes the recorded rows of its states and returns their Samples.
-    H0 and F0 are checked by _coordinates, and psi0 must be a
-    finite unit vector of problem.dim entries; bad input raises
-    ValidationError.
+    Returns a generator of Samples blocks whose rows are step 0, every
+    record_every-th step and the last of grid_steps(t_max, dt), at t =
+    step * dt.  The run's z = (h, f, psi) (psi as interleaved (Re, Im)
+    pairs) follows one _taylor_path through its terms: the problem's flow
+    terms and those of dpsi = -i H psi.  The path picks its steps from its
+    coefficients and reads each recorded state from its step's polynomial,
+    so dt sets only where the states are recorded, not their accuracy, and
+    a run costs its steps to t_max and its records.  H and F stay in their
+    subspaces exactly, and psi is renormalized (norm drift beyond 1e-12)
+    after each step.  Step 0 is gated first, then the states recorded over
+    each SAMPLE_BLOCK grid steps together (one stacked eigvalsh), so a
+    sample lags the state by at most SAMPLE_BLOCK grid steps.
+
+    The grid, record_every (a positive integer), H0 and F0 (see
+    _coordinates) and psi0 (a finite unit vector of problem.dim entries)
+    are checked here, then the first step: a first step that puts t_max
+    more than MAX_STEPS steps away raises ValidationError before the first
+    sample, as does bad input, and a run that takes more than MAX_STEPS
+    steps raises it when it does.  The run aborts at a sample where any
+    tracked invariant (norm, Tr H^2, Tr HF, spectrum of H + F) drifts
+    beyond 1e-4 or is not finite: the samples before it are yielded and
+    DriftAbort is raised.  A state that overflows aborts without a numpy
+    warning.
     """
+    n_steps = grid_steps(t_max, dt)
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValidationError(
+            f"record_every must be a positive integer, got {record_every!r}")
     y0 = _coordinates(problem, H0, F0)
     psi = check_state(psi0)
     n, nd = problem.dim, problem._driver.shape[0]
@@ -401,6 +414,7 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
     trH2_scale = max(abs(trH2_0), 1e-30)
     eig0 = np.linalg.eigvalsh((y0 @ B).reshape(n, n))
     eig_scale = max(np.max(np.abs(eig0)), 1e-30)
+    path = _taylor_path(terms, z0, slice(m, None), t_max)
 
     def gate(steps, Z):
         """The Samples of the recorded states Z (one row per step of
@@ -438,80 +452,30 @@ def _member(problem: ControlProblem, H0, F0, psi0, dt: float):
             {"t": t, "step": int(steps[k]),
              **dict(zip(_DRIFTS, drifts[k].tolist()))})
 
-    return z0, terms, m, gate
-
-
-def integrate(runs, t_max: float, dt: float, record_every: int = 1):
-    """The runs (problem, H0, F0, psi0), each stepped alone by Taylor
-    series and recorded on one grid of dt.
-
-    Returns a generator of blocks, each one Samples per run, whose rows are
-    step 0, every record_every-th step and the last of grid_steps(t_max,
-    dt), at t = step * dt.  Each run's z = (h, f, psi) (psi as interleaved
-    (Re, Im) pairs) follows its own _taylor_path through its terms: its
-    problem's flow terms and those of dpsi = -i H psi.  The path picks its
-    steps from its coefficients and reads each recorded state from its
-    step's polynomial, so dt sets only where the states are recorded, not
-    their accuracy, and a run costs its steps to t_max and its records.
-    H and F stay in their subspaces exactly, and psi is renormalized
-    (norm drift beyond 1e-12) after each step.  No run's path or gate
-    reads another run's, so its samples are the ones it gets alone.
-    Step 0 is gated first, then the states recorded over each SAMPLE_BLOCK
-    grid steps together (one stacked eigvalsh), so a sample lags the state
-    by at most SAMPLE_BLOCK grid steps.
-
-    The grid, record_every (a positive integer) and every run's input (see
-    _member) are checked here, then each run's first step: a run whose
-    first step puts t_max more than MAX_STEPS steps away raises
-    ValidationError before the first sample, as does bad input, and a run
-    that takes more than MAX_STEPS steps raises it when it does.  A run
-    aborts at a sample where any tracked invariant (norm, Tr H^2, Tr HF,
-    spectrum of H + F) drifts beyond 1e-4 or is not finite; a state that
-    overflows aborts without a numpy warning.  If runs abort, the samples
-    before the earliest abort step are yielded and that run's DriftAbort is
-    raised (the first such run on a tie).
-    """
-    n_steps = grid_steps(t_max, dt)
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ValidationError(
-            f"record_every must be a positive integer, got {record_every!r}")
-    if not runs:
-        raise ValidationError("no runs to step")
-    members = [_member(*run, dt) for run in runs]
-    paths = [_taylor_path(terms, z0, slice(m, None), t_max)
-             for z0, terms, m, _ in members]
-
-    def gated(steps, states):
-        results = [gate(steps, Z)
-                   for (_, _, _, gate), Z in zip(members, states)]
-        aborts = [(len(block.step), i)
-                  for i, (block, abort) in enumerate(results)
-                  if abort is not None]
-        k, first = min(aborts, default=(len(steps), None))
-        yield [block.head(k) for block, _ in results]
-        if first is not None:
-            raise results[first][1]
-
-    def blocks():
-        yield from gated(np.zeros(1, dtype=int),
-                         [z0[None] for z0, _, _, _ in members])
+    def records():
+        yield np.zeros(1, dtype=int), z0[None]
         for start in range(1, n_steps + 1, SAMPLE_BLOCK):
             steps = np.arange(start, min(start + SAMPLE_BLOCK, n_steps + 1))
             steps = steps[(steps % record_every == 0) | (steps == n_steps)]
             if steps.size:
-                t = steps * dt
-                yield from gated(steps, [path(t) for path in paths])
+                yield steps, path(steps * dt)
+
+    def blocks():
+        for steps, Z in records():
+            block, abort = gate(steps, Z)
+            yield block
+            if abort is not None:
+                raise abort
 
     return blocks()
 
 
 def evolve(problem: ControlProblem, H0, F0, psi0, t_max: float,
            dt: float = 1e-4, record_every: int = 1) -> Samples:
-    """The samples of the one run (problem, H0, F0, psi0) as one Samples:
+    """The samples of the run (problem, H0, F0, psi0) as one Samples:
     integrate's blocks concatenated (same checks and DriftAbort)."""
-    return Samples.concatenate(
-        s for (s,) in integrate([(problem, H0, F0, psi0)], t_max, dt,
-                                record_every))
+    return Samples.concatenate(integrate(problem, H0, F0, psi0, t_max, dt,
+                                         record_every))
 
 
 # --- SU(2) multivector form -------------------------------------------------

@@ -19,9 +19,8 @@ import numpy as np
 
 from .matcore import (ValidationError, check_hermitian, hermitian_eig,
                       ordered_exponential, trace_inner)
-from .brach import (DRIFT_ABORT, ControlProblem, DriftAbort, Samples,
-                    _coordinates, _joined, grid_steps, integrate, rk4_path,
-                    rk4_step)
+from .brach import (DRIFT_ABORT, ControlProblem, DriftAbort, _coordinates,
+                    _joined, evolve, grid_steps, rk4_path, rk4_step)
 from .special import fd_derivative
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -758,8 +757,8 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     The four pattern pairs are integrated together on the coarse grid and
     each H(t) classified as constant, periodic (recurrence search on
     ||H(t) - H(0)||), or neither.  Each pair's drawn start (H0, F0), which
-    its result reports, is checked and converted to coordinates as every
-    integrate run's is (brach._coordinates).  A bad grid (see
+    its result reports, is checked and converted to coordinates as
+    integrate checks its run's (brach._coordinates).  A bad grid (see
     brach.grid_steps) raises ValidationError before any work, and a path
     that diverges (see _check_drift) raises DriftAbort before any pair is
     classified.
@@ -785,7 +784,7 @@ def su3_partitions(t_max: float = CENSUS_T_MAX, dt: float = CENSUS_DT,
     problems = [p for _, _, p, _, _ in pairs]
     terms, z0, cols = _joined([(p._terms, _coordinates(p, H0, F0))
                                for _, _, p, H0, F0 in pairs])
-    paths = rk4_path(terms, z0, n_steps, dt, ())
+    paths = rk4_path(terms, z0, n_steps, dt)
     _check_drift(problems, paths, cols, dt)
     # each pair reads its slice of the path as a view: a copy per pair
     # would add to the peak memory the whole path already sets
@@ -808,48 +807,34 @@ class ValidationReport:
         return max(self.deviations.values())
 
 
-def validate_all(scenarios: Sequence[Scenario]) -> list[ValidationReport]:
-    """Cross-check each scenario's analytic data against the integrator.
+def validate(scenario: Scenario) -> ValidationReport:
+    """Cross-check the scenario's analytic data against the integrator.
 
     Compares (a) the analytic propagator against the step-ordered exponential
     of the analytic H(t), (b) analytic H(t)/psi(t) against the
     brachistochrone integrator where a ControlProblem is attached,
     (c) quantization residuals at the claimed minimum time.  The ordered
-    exponential steps at dt = 1e-3 and the integrator records every tenth
-    step of that grid; the closed forms are sampled at 100 times over one
-    period.  The integrations of (b) run over min(period, 2) and are
-    recorded together, one integrate call for each such time; each run's
-    samples are the ones its scenario gets alone.
+    exponential steps at dt = 1e-3; the closed forms are sampled at 100
+    times over one period.  The integration of (b) is one evolve over
+    min(period, 2), recording every tenth step of the grid of dt.
     """
     dt = 1e-3
-    devs, runs = [], {}
-    for scenario in scenarios:
-        T = scenario.period
-        devs.append(_closed_form_deviations(scenario, T, dt))
-        if scenario.problem is not None:
-            runs.setdefault(min(T, 2.0), []).append((scenario, devs[-1]))
-    for t_evo, group in runs.items():
-        blocks = integrate([_integrator_run(scn) for scn, _ in group],
-                           t_evo, dt, record_every=10)
-        for (scn, dev), s in zip(group, map(Samples.concatenate,
-                                            zip(*blocks))):
-            H = scn.problem.matrices(s.y)[0]
-            dev["integrator_H"] = float(np.max(np.abs(
-                H - scn.hamiltonian_at(s.t))))
-            dev["integrator_state"] = float(np.max(np.abs(
-                s.psi - scn.state_at(s.t))))
-    return [ValidationReport(scenario=scn.name, deviations=dev,
-                             diagnostics=_min_time_diagnostics(scn))
-            for scn, dev in zip(scenarios, devs)]
-
-
-def validate(scenario: Scenario) -> ValidationReport:
-    """validate_all of the one scenario."""
-    return validate_all([scenario])[0]
+    T = scenario.period
+    dev = _closed_form_deviations(scenario, T, dt)
+    if scenario.problem is not None:
+        s = evolve(*_integrator_run(scenario), min(T, 2.0), dt,
+                   record_every=10)
+        H = scenario.problem.matrices(s.y)[0]
+        dev["integrator_H"] = float(np.max(np.abs(
+            H - scenario.hamiltonian_at(s.t))))
+        dev["integrator_state"] = float(np.max(np.abs(
+            s.psi - scenario.state_at(s.t))))
+    return ValidationReport(scenario=scenario.name, deviations=dev,
+                            diagnostics=_min_time_diagnostics(scenario))
 
 
 def _closed_form_deviations(scenario: Scenario, T: float, dt: float) -> dict:
-    """Checks (a) of validate_all on the grid of 100 times over [0, T]."""
+    """Checks (a) of validate on the grid of 100 times over [0, T]."""
     grid = np.linspace(0.0, T, 100)
     dev = {}
 
@@ -880,7 +865,7 @@ def _integrator_run(scenario: Scenario) -> tuple:
 
 
 def _min_time_diagnostics(scenario: Scenario) -> dict:
-    """Checks (c) of validate_all.  Minimum-time claims hold only on the
+    """Checks (c) of validate.  Minimum-time claims hold only on the
     quantization locus of the parameters, so they are reported as
     diagnostics rather than folded into the pass/fail deviation maximum."""
     diag = {}

@@ -112,8 +112,8 @@ def _scenario_rows(scn, t_max: float, dt: float):
 
 def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     """Integrate one randomized control family; each block of
-    brach.integrate's samples of the one run (at most brach.SAMPLE_BLOCK
-    rows) is turned into rows as it is yielded."""
+    brach.integrate's samples (at most brach.SAMPLE_BLOCK rows) is turned
+    into rows as it is yielded."""
     n = params.pop("n", 3)
     if not isinstance(n, int):
         raise ValidationError(f"sun-family n must be an integer, got {n!r}")
@@ -124,9 +124,9 @@ def _family_rows(params: dict, t_max: float, dt: float, seed: int):
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     record_every = max(int(round(1e-3 / dt)), 1)
-    blocks = brach.integrate([(fam.problem, fam.H0, fam.F0, psi0)], t_max,
-                             dt, record_every=record_every)
-    return _header(n), (row for (s,) in blocks for row in np.column_stack(
+    blocks = brach.integrate(fam.problem, fam.H0, fam.F0, psi0, t_max, dt,
+                             record_every=record_every)
+    return _header(n), (row for s in blocks for row in np.column_stack(
         [s.t, s.psi.view(float), s.trH2, s.trHF, s.norm]).tolist())
 
 

@@ -112,30 +112,10 @@ def shift_f(problem, delta):
     return move
 
 
-def scale_h(problem, r):
-    """A move that scales the driver coordinates h by r: Tr H^2 drifts by
-    the factor r^2 a step."""
-    nd = len(problem._driver)
-
-    def move(z):
-        z = z.copy()
-        z[:nd] *= r
-        return z
-
-    return move
-
-
 def overflow(z):
     """A move that overflows the state within a few steps (its psi is
     renormalized until it is not finite)."""
     return 1e100 * z
-
-
-def one_run(problem, H0, F0, psi0, *grid):
-    """integrate's blocks of the one run (problem, H0, F0, psi0); the
-    grid and the input are checked at the call, as integrate checks them."""
-    blocks = brach.integrate([(problem, H0, F0, psi0)], *grid)
-    return (s for (s,) in blocks)
 
 
 def collect(blocks):
@@ -470,7 +450,7 @@ class TestIntegrate:
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         args = (fam.problem, fam.H0, fam.F0, psi0, 0.05, 1e-3, 7)
-        blocks = list(one_run(*args))
+        blocks = list(brach.integrate(*args))
         got = brach.evolve(*args)
         assert [b.step.tolist() for b in blocks] == [
             [0], [7, 14, 21, 28, 35, 42, 49, 50]]
@@ -494,15 +474,39 @@ class TestIntegrate:
 
     def test_bad_input_raises_before_the_first_sample(self):
         with pytest.raises(ValidationError):
-            brach.integrate([(su2_problem(), SZ, SX,
-                              np.array([1, 0], dtype=complex))], 1.0, 1e-2)
+            brach.integrate(su2_problem(), SZ, SX,
+                            np.array([1, 0], dtype=complex), 1.0, 1e-2)
+
+    @pytest.mark.parametrize("bad", ["nan_psi", "h0_outside", "long_psi",
+                                     "short_psi", "big_h0"])
+    def test_bad_input_raises_before_any_step(self, bad, monkeypatch):
+        # a 3-level run: a 4-entry psi0 once stepped with its 4th entry
+        # fixed, a 2-entry one raised IndexError and a 4x4 H0 numpy's
+        # broadcast ValueError
+        def no_step(*args):
+            raise AssertionError("stepped before checking the input")
+
+        monkeypatch.setattr(brach, "_taylor_coefficients", no_step)
+        problem, H0, F0, psi0 = family_run(3, "tridiagonal")
+        if bad == "nan_psi":
+            psi0 = np.array([np.nan, 0, 0], dtype=complex)
+        elif bad == "h0_outside":
+            H0 = H0 + F0
+        elif bad == "long_psi":
+            psi0 = unit_state(4)
+        elif bad == "short_psi":
+            psi0 = unit_state(2)
+        else:
+            H0 = np.pad(H0, (0, 1))
+        with pytest.raises(ValidationError):
+            brach.integrate(problem, H0, F0, psi0, 1.0, 1e-3)
 
     @pytest.mark.parametrize("t_max, dt, record_every", [
         (1.0, 1e-2, 0), (1.0, 1e-2, -3), (1.0, 1e-2, 1.5),
         (math.inf, 1e-2, 1), (math.nan, 1e-2, 1), (-1.0, 1e-2, 1),
         (0.0, 1e-2, 1), (1e300, 1e-10, 1),
         (1.0, math.inf, 1), (1.0, math.nan, 1), (1.0, -1e-2, 1)])
-    @pytest.mark.parametrize("run", [one_run, brach.evolve],
+    @pytest.mark.parametrize("run", [brach.integrate, brach.evolve],
                              ids=["integrate", "evolve"])
     def test_bad_grid_raises_at_call_time(self, run, t_max, dt, record_every):
         fam = catalog.family_sun(3, "tridiagonal")
@@ -541,8 +545,8 @@ class TestIntegrate:
         fam = catalog.family_sun(4, "tridiagonal")
         psi0 = np.array([1, 0, 0, 0], dtype=complex)
         with pytest.raises(ValidationError, match=str(brach.MAX_STEPS)):
-            brach.integrate([(fam.problem, 1e7 * fam.H0, 1e7 * fam.F0,
-                              psi0)], 1.0, 1e-3)
+            brach.integrate(fam.problem, 1e7 * fam.H0, 1e7 * fam.F0, psi0,
+                            1.0, 1e-3)
 
     def test_step_cap_while_stepping(self, monkeypatch):
         # H0 and F0 scaled by 1e3 to t = 0.019 take 104 steps, the first of
@@ -553,36 +557,31 @@ class TestIntegrate:
         monkeypatch.setattr(brach, "MAX_STEPS", 100)
         got = []
         with pytest.raises(ValidationError, match="more than 100 Taylor"):
-            for (block,) in brach.integrate([run], 0.019, 1e-5, 100):
+            for block in brach.integrate(*run, 0.019, 1e-5, 100):
                 got.append(block)
         assert [b.step[0] for b in got][:2] == [0, 100]
 
 
 class TestRk4Path:
-    def test_matches_a_step_and_renormalize_loop(self):
-        # two runs as one flat state, as integrate joins them; at dt 5e-2
-        # RK4 moves each psi's norm past RENORM_THRESHOLD
-        dt = 5e-2
-        members = [brach._member(*family_run(n, kind), dt)
-                   for n, kind in ((3, "tridiagonal"), (4, "antidiagonal"))]
-        terms, z, cols = brach._joined([(t, z0) for z0, t, _, _ in members])
-        assert cols == [slice(0, len(members[0][0])),
-                        slice(len(members[0][0]), len(z))]
-        psi_parts = [(c.start + m, c.stop)
-                     for (_, _, m, _), c in zip(members, cols)]
-        path = brach.rk4_path(terms, z, 40, dt, psi_parts)
+    def test_matches_a_step_loop(self):
+        # the census's four pairs joined into one flat state, as
+        # su3_partitions steps them
+        results = catalog.su3_partitions(t_max=1e-3, dt=1e-3, seed=42)
+        systems = [(r.problem._terms,
+                    brach._coordinates(r.problem, r.H0, r.F0))
+                   for r in results]
+        terms, z, cols = brach._joined(systems)
+        assert len(z) == 32
+        assert [c.stop - c.start for c in cols] == [8, 8, 8, 8]
+        for (_, z0), c in zip(systems, cols):
+            assert np.array_equal(z[c], z0)
+        dt = catalog.CENSUS_DT
+        path = brach.rk4_path(terms, z, 40, dt)
         assert path.shape == (41, len(z))
         assert np.array_equal(path[0], z)
-        renormalized = 0
         for s in range(1, 41):
             z = brach.rk4_step(lambda v: brach._bilinear(terms, v), z, dt)
-            for lo, hi in psi_parts:
-                nrm = math.sqrt(z[lo:hi] @ z[lo:hi])
-                if abs(nrm - 1.0) > brach.RENORM_THRESHOLD:
-                    z[lo:hi] /= nrm
-                    renormalized += 1
             assert np.array_equal(path[s], z), s
-        assert renormalized > 0
 
 
 class TestBlockGate:
@@ -595,7 +594,7 @@ class TestBlockGate:
         psi0[0] = 1.0
         args = (fam.problem, fam.H0, fam.F0, psi0, 0.6, 1e-3, record_every)
         assert 600 > 2 * brach.SAMPLE_BLOCK
-        got = list(one_run(*args))
+        got = list(brach.integrate(*args))
         want = list(reference_samples(*args))
         # one block for step 0 and one for each block of steps
         assert [(b.step[0], b.step[-1]) for b in got] == [
@@ -613,7 +612,7 @@ class TestBlockGate:
         psi0 = np.array([1, 0, 0], dtype=complex)
         stub_steps(monkeypatch, 0.3, shift_f(fam.problem, 2.4e-5))
         args = (fam.problem, fam.H0, fam.F0, psi0, 300.0, 0.3, 1)
-        got, abort = collect(one_run(*args))
+        got, abort = collect(brach.integrate(*args))
         want, ref_abort = collect(reference_samples(*args))
         assert ref_abort is not None and ref_abort.diagnostics["step"] == 5
         assert_samples_equal(got, want)
@@ -633,7 +632,7 @@ class TestBlockGate:
         stub_steps(monkeypatch, dt, overflow)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got, abort = collect(one_run(fam.problem, fam.H0, fam.F0, psi0,
+            got, abort = collect(brach.integrate(fam.problem, fam.H0, fam.F0, psi0,
                                          1000 * dt, dt, 1))
         assert caught == []
         assert brach.Samples.concatenate(got).step.tolist() == [0]
@@ -649,108 +648,6 @@ def unit_state(n):
 def family_run(n, kind):
     fam = catalog.family_sun(n, kind)
     return fam.problem, fam.H0, fam.F0, unit_state(n)
-
-
-def own_abort(run, t_max, dt):
-    with pytest.raises(brach.DriftAbort) as info:
-        brach.evolve(*run, t_max, dt)
-    return info.value
-
-
-class TestEvolveJoint:
-    """Several runs recorded together by integrate."""
-
-    @pytest.mark.parametrize("record_every", [1, 7])
-    def test_mixed_members_match_each_evolve(self, record_every):
-        # members of n = 2, 3, 4 and 5; 600 steps: step 0, then blocks
-        # 1-256, 257-512 and 513-600
-        runs = [catalog._integrator_run(build()) for build in (
-            catalog.scenario_su2, catalog.scenario_su3_geodesic,
-            catalog.scenario_su4_heisenberg)] + [family_run(5, "tridiagonal")]
-        blocks = list(brach.integrate(runs, 0.6, 1e-3, record_every))
-        assert len(blocks) == 4
-        assert all(len(block) == len(runs) for block in blocks)
-        for run, got in zip(runs, map(brach.Samples.concatenate,
-                                      zip(*blocks))):
-            want = brach.evolve(*run, 0.6, 1e-3, record_every)
-            for name, g, w in zip(brach.Samples._fields, got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w), name
-
-    def test_diverging_member_raises_its_own_abort(self, monkeypatch):
-        # steps that hold su2 and so3 and overflow n=4 tridiagonal (its z
-        # has 23 entries)
-        runs = [catalog._integrator_run(catalog.scenario_su2()),
-                catalog._integrator_run(catalog.scenario_so3()),
-                family_run(4, "tridiagonal")]
-        stub_steps(monkeypatch, 10.0,
-                   lambda z: overflow(z) if len(z) == 23 else z)
-        want = own_abort(runs[2], 10000.0, 10.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(brach.DriftAbort) as info:
-                list(brach.integrate(runs, 10000.0, 10.0))
-        assert caught == []
-        assert str(info.value) == str(want)
-        assert info.value.diagnostics == want.diagnostics
-
-    @pytest.mark.parametrize("order, winner", [
-        # own abort steps at dt 0.3: 5, 6 and 3
-        ((("diagonal", 3), ("antidiagonal", 4), ("tridiagonal", 5)), 2),
-        # both abort at step 1 at dt 10: the first member wins the tie
-        ((("tridiagonal", 4), ("antidiagonal", 4)), 0),
-        ((("antidiagonal", 4), ("tridiagonal", 4)), 0)])
-    def test_earliest_abort_wins(self, order, winner, monkeypatch):
-        dt = 0.3 if len(order) == 3 else 10.0
-        runs = [family_run(n, kind) for kind, n in order]
-        if dt == 10.0:
-            stub_steps(monkeypatch, dt, overflow)
-            steps = [1, 1]
-        else:
-            # Tr H^2 first drifts past 1e-4 at step K when each step scales
-            # h by (1 + 1e-4)^(1 / (2K - 1)); an n-level run's z has
-            # n^2 - 1 + 2n entries
-            steps = [5, 6, 3]
-            moves = {n * n - 1 + 2 * n: scale_h(run[0], (1 + 1e-4) ** (
-                         1 / (2 * K - 1)))
-                     for (_, n), run, K in zip(order, runs, steps)}
-            stub_steps(monkeypatch, dt, lambda z: moves[len(z)](z))
-        aborts = [own_abort(run, 1000 * dt, dt) for run in runs]
-        assert [a.diagnostics["step"] for a in aborts] == steps
-        with pytest.raises(brach.DriftAbort) as info:
-            list(brach.integrate(runs, 1000 * dt, dt))
-        assert str(info.value) == str(aborts[winner])
-        assert info.value.diagnostics == aborts[winner].diagnostics
-        assert info.value.diagnostics["step"] == min(
-            a.diagnostics["step"] for a in aborts)
-
-    @pytest.mark.parametrize("bad", ["nan_psi", "h0_outside", "long_psi",
-                                     "short_psi", "big_h0"])
-    def test_bad_member_raises_before_any_step(self, bad, monkeypatch):
-        # a 3-level member: a 4-entry psi0 once stepped with its 4th entry
-        # fixed, a 2-entry one raised IndexError and a 4x4 H0 numpy's
-        # broadcast ValueError
-        def no_step(*args):
-            raise AssertionError("stepped before checking every member")
-
-        monkeypatch.setattr(brach, "_taylor_coefficients", no_step)
-        problem, H0, F0, psi0 = family_run(3, "tridiagonal")
-        if bad == "nan_psi":
-            psi0 = np.array([np.nan, 0, 0], dtype=complex)
-        elif bad == "h0_outside":
-            H0 = H0 + F0
-        elif bad == "long_psi":
-            psi0 = unit_state(4)
-        elif bad == "short_psi":
-            psi0 = unit_state(2)
-        else:
-            H0 = np.pad(H0, (0, 1))
-        runs = [family_run(5, "tridiagonal"), (problem, H0, F0, psi0)]
-        with pytest.raises(ValidationError):
-            brach.integrate(runs, 1.0, 1e-3)
-
-    def test_no_runs(self):
-        with pytest.raises(ValidationError, match="no runs"):
-            brach.integrate([], 1.0, 1e-3)
 
 
 def reference_orthonormalize(basis, dim, label):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbrach import brach, catalog, report
+from qbrach import brach, catalog
 from qbrach.matcore import ValidationError, expm_h
 from qbrach.special import fd_derivative
 
@@ -19,7 +19,7 @@ def _pair2_path(t_max, dt, f_scale=1.0):
     pair2 = catalog.su3_partitions(t_max=dt, dt=dt, seed=42)[1]
     y0 = pair2.problem.coefficients(pair2.H0, f_scale * pair2.F0)
     return pair2.problem, brach.rk4_path(pair2.problem._terms, y0,
-                                         int(round(t_max / dt)), dt, ())
+                                         int(round(t_max / dt)), dt)
 
 
 def _clock(hdot, t_max, dt):
@@ -76,52 +76,21 @@ class TestValidation:
         rep = catalog.validate(scn)
         assert rep.max_deviation() <= 1e-6, rep.deviations
 
+    def test_deterministic(self):
+        # every scenario at seed 42; the integrator check runs for each
+        # scenario with a control problem, which dirac lacks
+        for scn in _seeded(42):
+            first, again = catalog.validate(scn), catalog.validate(scn)
+            assert first == again
+            assert list(first.deviations) == list(again.deviations)
+            assert ("integrator_H" in first.deviations) == (
+                scn.problem is not None)
+        assert catalog.scenario_dirac().problem is None
+
 
 def _seeded(seed):
     return [builder() if name != "su4-heisenberg" else builder(seed=seed)
             for name, builder in ALL_BUILDERS]
-
-
-class TestValidateAll:
-    @pytest.mark.parametrize("seed", [42, 7])
-    def test_verify_catalog_matches_one_scenario_at_a_time(self, seed,
-                                                           monkeypatch):
-        joint = report.verify_catalog(seed=seed).records
-        # validate(scn) is validate_all([scn])[0]: the original, one
-        # scenario per call
-        validate_all = catalog.validate_all
-        monkeypatch.setattr(catalog, "validate_all", lambda scenarios: [
-            validate_all([scn])[0] for scn in scenarios])
-        assert report.verify_catalog(seed=seed).records == joint
-
-    @pytest.mark.parametrize("seed", [42, 7])
-    def test_reports_match_each_validate(self, seed, monkeypatch):
-        # su4-heisenberg at lambda_x 2 has period pi/2 < 2, so its
-        # integration runs over its period, in a second group
-        scenarios = _seeded(seed) + [
-            catalog.scenario_su4_heisenberg(2.0, seed=seed)]
-        solo = [catalog.validate(scn) for scn in scenarios]
-        groups = []
-        integrate = catalog.integrate
-
-        def spy(runs, t_max, *args, **kwargs):
-            groups.append((t_max, len(runs)))
-            return integrate(runs, t_max, *args, **kwargs)
-
-        monkeypatch.setattr(catalog, "integrate", spy)
-        reports = catalog.validate_all(scenarios)
-        assert groups == [(2.0, 6), (np.pi / 2, 1)]
-        assert [r.scenario for r in reports] == [s.scenario for s in solo]
-        for got, want in zip(reports, solo):
-            assert got.deviations == want.deviations
-            assert list(got.deviations) == list(want.deviations)
-            assert got.diagnostics == want.diagnostics
-        assert "integrator_H" not in reports[-2].deviations    # dirac
-
-    def test_deterministic(self):
-        scenarios = _seeded(42)
-        assert catalog.validate_all(scenarios) == \
-            catalog.validate_all(scenarios)
 
 
 # scenario, constant frame generator A with H(t) = e^{iAt} H(0) e^{-iAt}
@@ -538,7 +507,7 @@ class TestPartitions:
         for r, ys in zip(results, paths):
             alone = brach.rk4_path(r.problem._terms,
                                    r.problem.coefficients(r.H0, r.F0),
-                                   15000, 1e-3, ())
+                                   15000, 1e-3)
             np.testing.assert_allclose(ys, alone, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("seed", [42, 7, 1001])
@@ -549,9 +518,9 @@ class TestPartitions:
         starts = []
         rk4_path = brach.rk4_path
 
-        def spy(terms, z, n_steps, dt, psi_parts):
+        def spy(terms, z, n_steps, dt):
             starts.append(z.copy())
-            return rk4_path(terms, z, n_steps, dt, psi_parts)
+            return rk4_path(terms, z, n_steps, dt)
 
         monkeypatch.setattr(catalog, "rk4_path", spy)
         results = catalog.su3_partitions(t_max=1e-2, dt=1e-3, seed=seed)

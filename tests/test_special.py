@@ -72,6 +72,15 @@ class TestFdDerivative:
             assert np.shape(got) == np.shape(x)
             assert got == pytest.approx(exact, rel=1e-9, abs=1e-9), d
 
+    def test_stencil_width_on_a_fast_exponential(self):
+        # e^{20x} at step 5e-3 puts the truncation term of an 11-point
+        # stencil near 7e-15, of a 9-point one near 2e-11: the monomial
+        # test cannot tell the two apart
+        x = np.linspace(-0.5, 0.5, 11)
+        got = sp.fd_derivative(lambda u: np.exp(20 * u), x, 1)
+        exact = 20 * np.exp(20 * x)
+        assert np.max(np.abs(got / exact - 1)) < 1e-13
+
     @pytest.mark.parametrize("order", [0, sp.FD_POINTS])
     def test_order_out_of_range(self, order):
         with pytest.raises(ValidationError, match="derivative order"):
