@@ -20,6 +20,10 @@ STATE_TOL = 1e-10
 # a grid of more than this many steps (t_max / dt) is rejected by
 # grid_steps: 20x the longest documented run, the census at t_max 50, dt 1e-3
 MAX_STEPS = 10**6
+# ordered_exponential's Gauss-Legendre nodes on a unit step, 1/2 -+ sqrt(3)/6,
+# and the factor i sqrt(3)/12 of the commutator in its Magnus generator
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3) / 6)
+_MAGNUS_BRACKET = 1j * math.sqrt(3) / 12
 
 
 class ValidationError(ValueError):
@@ -111,25 +115,30 @@ def expm_h(H, t: float = 1.0) -> np.ndarray:
 
 def ordered_exponential(H: Callable[[np.ndarray], np.ndarray],
                         t_max: float, dt: float) -> np.ndarray:
-    """Step-ordered product of exp(-i H((k + 1/2) h) h), midpoint rule on
-    the grid_steps(t_max, dt) equal steps h = t_max / n.
+    """Step-ordered product of fourth-order Magnus steps exp(-i M_k) on the
+    grid_steps(t_max, dt) equal steps h = t_max / n.
 
-    H is called once, on the array of midpoints, and returns one matrix per
-    midpoint (or one matrix for all of them).  The (n, d, d) stack is
-    checked for finite Hermitian entries and diagonalized in one call, every
-    step propagator is built in one batched product, and only the ordered
-    product U = U_k @ U runs step by step.  Recovers the closed-form
-    exponential only when the integrand self-commutes; otherwise it is the
-    time-ordered propagator.  A grid that grid_steps rejects raises
-    ValidationError before H is called.
+    Step k takes H at its Gauss points t-, t+ = (k + 1/2 -+ sqrt(3)/6) h
+    and M_k = h (H- + H+) / 2 + i (sqrt(3)/12) h^2 [H-, H+], which is
+    Hermitian (Iserles and Norsett, Phil. Trans. R. Soc. A 357 (1999) 983).
+    H is called once, on the array of 2n Gauss times in step order, and
+    returns one matrix per time (or one matrix for all of them).  That
+    stack is checked for finite Hermitian entries in one call, the n
+    generators come from one batched commutator and are diagonalized in one
+    call, and only the ordered product U = U_k @ U runs step by step.
+    Recovers the closed-form exponential when the integrand self-commutes;
+    otherwise it is the time-ordered propagator to O(h^4).  A grid that
+    grid_steps rejects raises ValidationError before H is called.
     """
     n = grid_steps(t_max, dt)
     h = t_max / n
-    mids = (np.arange(n) + 0.5) * h
-    Hs = H(mids)
-    Hs = np.broadcast_to(Hs, mids.shape + np.shape(Hs)[-2:])
-    Us = hermitian_eig(Hs, stack=True).expm(h)
+    times = ((np.arange(n)[:, None] + _GAUSS_NODES) * h).reshape(-1)
+    Hs = H(times)
+    Hs = check_hermitian(np.broadcast_to(Hs, times.shape + np.shape(Hs)[-2:]),
+                         stack=True)
+    Hm, Hp = Hs[0::2], Hs[1::2]
+    M = h / 2 * (Hm + Hp) + _MAGNUS_BRACKET * h * h * (Hm @ Hp - Hp @ Hm)
     U = np.eye(Hs.shape[-1], dtype=complex)
-    for Uk in Us:
+    for Uk in hermitian_eig(M, stack=True).expm(1.0):
         U = Uk @ U
     return U

@@ -444,6 +444,13 @@ class TestTimeReversal:
         scn = catalog.SCENARIO_BUILDERS[name]()
         assert reversed_run(*catalog._integrator_run(scn), 1.0) < 1e-12
 
+    @pytest.mark.parametrize("seed", [42, 7, 1001])
+    def test_census_pairs_return_to_their_start(self, seed):
+        e0 = np.array([1, 0, 0], dtype=complex)
+        for r in catalog.su3_partitions(t_max=1.0, seed=seed):
+            assert reversed_run(r.problem, r.H0, r.F0, e0, 1.0) < 1e-12, \
+                r.index
+
 
 class TestIntegrate:
     def test_evolve_collects_the_samples(self):

@@ -308,6 +308,42 @@ class TestDirac:
             assert np.max(np.abs(H @ H - np.eye(4))) < 1e-10
 
 
+def _speed_limit(scn):
+    """The quantum speed limit FS / sqrt(Tr H(0)^2 / 2) on reaching the
+    scenario's target from psi0, FS = arccos |<target|psi0>|: Tr H^2 is
+    fixed along the flow and bounds the energy spread (Mandelstam and
+    Tamm; Anandan and Aharonov, PRL 65 (1990) 1697)."""
+    fs = np.arccos(min(abs(np.vdot(scn.target, scn.psi0)), 1.0))
+    H0 = scn.hamiltonian_at(0.0)
+    return fs / np.sqrt(np.trace(H0 @ H0).real / 2)
+
+
+class TestSpeedLimit:
+    @pytest.mark.parametrize("name", [name for name, build in ALL_BUILDERS
+                                      if build().target is not None])
+    def test_no_claimed_time_below_the_bound(self, name):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        claims = [scn.min_time, scn.extras.get("bell_time"),
+                  scn.extras.get("printed_min_time_claim")]
+        claims = [T for T in claims if T is not None]
+        assert claims
+        bound = _speed_limit(scn)
+        for T in claims:
+            assert T >= bound * (1 - 1e-12), (T, bound)
+
+    @pytest.mark.parametrize("name, claim", [("su2", "min_time"),
+                                             ("su4-heisenberg", "bell_time")])
+    def test_unconstrained_transfer_meets_the_bound(self, name, claim):
+        scn = catalog.SCENARIO_BUILDERS[name]()
+        T = scn.min_time if claim == "min_time" else scn.extras[claim]
+        assert T / _speed_limit(scn) == pytest.approx(1.0, abs=1e-12)
+
+    def test_geodesic_constraint_costs_sqrt3(self):
+        scn = catalog.scenario_su3_geodesic()
+        assert scn.min_time / _speed_limit(scn) == pytest.approx(
+            np.sqrt(3), abs=1e-12)
+
+
 class TestFamilies:
     @pytest.mark.parametrize("kind",
                              ["antidiagonal", "tridiagonal", "diagonal"])
