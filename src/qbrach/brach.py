@@ -23,8 +23,7 @@ from .matcore import (MAX_STEPS, ValidationError, check_hermitian,
                       check_state, grid_steps)
 
 DRIFT_ABORT = 1e-4
-RENORM_THRESHOLD = 1e-12
-# integrate gates the states recorded over this many grid steps in one call
+# integrate gates this many recorded states (after step 0's) in one call
 SAMPLE_BLOCK = 256
 # integrate's Taylor steps: the order of their polynomials, and the step
 # h = min(rho_{p-1}, rho_p) * TAYLOR_STEP_SCALE at order p, with
@@ -270,19 +269,17 @@ def _horner(c: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return Z + c[0]
 
 
-def _taylor_path(terms, z: np.ndarray, psi: slice, t_max: float):
+def _taylor_path(terms, z: np.ndarray, t_max: float):
     """The Taylor path of the bilinear system held as the term list terms
     from z at t = 0, as a function that takes times (increasing, none
     before the times it was last given) and returns the states there as
     rows, each from its step's polynomial (dense output).
 
     The path steps (see _taylor_step) only past the last time it is given,
-    so its steps do not depend on the times.  After each step, the unit
-    vector z[psi] is renormalized if its norm has moved by more than
-    RENORM_THRESHOLD.  A first step that puts t_max more than MAX_STEPS
-    steps away raises ValidationError here; a path that takes more than
-    MAX_STEPS steps raises it when it does.  A state that overflows gives
-    non-finite rows, without a numpy warning.
+    so its steps do not depend on the times.  A first step that puts t_max
+    more than MAX_STEPS steps away raises ValidationError here; a path
+    that takes more than MAX_STEPS steps raises it when it does.  A state
+    that overflows gives non-finite rows, without a numpy warning.
     """
     c, h = _taylor_step(terms, z)
     if t_max / h > MAX_STEPS:
@@ -308,10 +305,6 @@ def _taylor_path(terms, z: np.ndarray, psi: slice, t_max: float):
                         f"more than {MAX_STEPS} Taylor steps before "
                         f"t = {t[i]:g}")
                 z = _horner(c, np.array([h]))[0]
-                w = z[psi]
-                nrm = math.sqrt(w @ w)
-                if abs(nrm - 1.0) > RENORM_THRESHOLD:
-                    w /= nrm
                 t0 += h
                 c, h = _taylor_step(terms, z)
 
@@ -378,10 +371,10 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     coefficients and reads each recorded state from its step's polynomial,
     so dt sets only where the states are recorded, not their accuracy, and
     a run costs its steps to t_max and its records.  H and F stay in their
-    subspaces exactly, and psi is renormalized (norm drift beyond 1e-12)
-    after each step.  Step 0 is gated first, then the states recorded over
-    each SAMPLE_BLOCK grid steps together (one stacked eigvalsh), so a
-    sample lags the state by at most SAMPLE_BLOCK grid steps.
+    subspaces exactly, and psi is not renormalized (its norm drift is
+    gated like the others).  Step 0 is gated first, then each next
+    SAMPLE_BLOCK recorded states together (one stacked eigvalsh), so a
+    sample lags the state by at most SAMPLE_BLOCK records.
 
     The grid, record_every (a positive integer), H0 and F0 (see
     _coordinates) and psi0 (a finite unit vector of problem.dim entries)
@@ -414,7 +407,7 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
     trH2_scale = max(abs(trH2_0), 1e-30)
     eig0 = np.linalg.eigvalsh((y0 @ B).reshape(n, n))
     eig_scale = max(np.max(np.abs(eig0)), 1e-30)
-    path = _taylor_path(terms, z0, slice(m, None), t_max)
+    path = _taylor_path(terms, z0, t_max)
 
     def gate(steps, Z):
         """The Samples of the recorded states Z (one row per step of
@@ -453,12 +446,15 @@ def integrate(problem: ControlProblem, H0, F0, psi0, t_max: float,
              **dict(zip(_DRIFTS, drifts[k].tolist()))})
 
     def records():
+        # record k = 1..rows is at step min(k * every, n_steps); every is at
+        # most n_steps, so k * every cannot overflow
+        every = min(record_every, n_steps)
+        rows = -(-n_steps // every)
         yield np.zeros(1, dtype=int), z0[None]
-        for start in range(1, n_steps + 1, SAMPLE_BLOCK):
-            steps = np.arange(start, min(start + SAMPLE_BLOCK, n_steps + 1))
-            steps = steps[(steps % record_every == 0) | (steps == n_steps)]
-            if steps.size:
-                yield steps, path(steps * dt)
+        for start in range(1, rows + 1, SAMPLE_BLOCK):
+            k = np.arange(start, min(start + SAMPLE_BLOCK, rows + 1))
+            steps = np.minimum(k * every, n_steps)
+            yield steps, path(steps * dt)
 
     def blocks():
         for steps, Z in records():

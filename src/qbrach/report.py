@@ -260,7 +260,7 @@ def verify_special(seed: int = 42) -> ReportEnvelope:
     env.add("laplace-q-vs-printed-bq-over-s8",
             abs(L(10.0) - polys["b_q"](10.0) / 10.0 ** 8))
 
-    w = special.weighted_integrals()
+    w = special.weighted_integrals(polys["b1"])
     env.add("weighted-chebyshev-integral",
             w["chebyshev_weight_relative_error"], 1e-10)
     env.add("weighted-normalization",

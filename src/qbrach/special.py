@@ -622,11 +622,9 @@ def moment_marginal(P: Polynomial) -> RationalFunction:
     return total.reduced()
 
 
-def weighted_integrals() -> dict:
+def weighted_integrals(b1: Polynomial) -> dict:
     """Report for the weighted-integral identities of the catalogued
-    polynomial b1."""
-    data = ell_polys()["polys"]
-    b1 = data["b1"]
+    polynomial b1 (ell_polys()["polys"]["b1"])."""
     rep = {}
     val = gauss_chebyshev_integral(b1)
     target = 12331 * np.pi / 128

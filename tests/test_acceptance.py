@@ -204,7 +204,7 @@ class TestExactIdentities:
         assert abs(val - target) / abs(target) <= 1e-10
 
     def test_marginal_limit(self):
-        rep = special.weighted_integrals()
+        rep = special.weighted_integrals(special.ell_polys()["polys"]["b1"])
         assert rep["marginal_limit"] == -144
 
 

@@ -80,7 +80,7 @@ def reference_samples(problem, H0, F0, psi0, t_max, dt, record_every):
 
     z = np.concatenate([y0, np.asarray(psi0, dtype=complex).view(float)])
     yield sample(0, z)
-    path = brach._taylor_path(terms, z, slice(m, None), t_max)
+    path = brach._taylor_path(terms, z, t_max)
     for step in range(1, n_steps + 1):
         if step % record_every == 0 or step == n_steps:
             yield sample(step, path(np.array([step * dt]))[0])
@@ -113,8 +113,7 @@ def shift_f(problem, delta):
 
 
 def overflow(z):
-    """A move that overflows the state within a few steps (its psi is
-    renormalized until it is not finite)."""
+    """A move that overflows the state within a few steps."""
     return 1e100 * z
 
 
@@ -521,11 +520,22 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             run(fam.problem, fam.H0, fam.F0, psi0, t_max, dt, record_every)
 
-    def test_renormalization_holds_the_norm(self):
-        fam = catalog.family_sun(4, "antidiagonal")
-        psi0 = np.array([1, 0, 0, 0], dtype=complex)
-        traj = brach.evolve(fam.problem, fam.H0, fam.F0, psi0, 5.0, dt=5e-2)
-        assert np.max(traj.norm_drift) <= brach.RENORM_THRESHOLD
+    @pytest.mark.parametrize("record_every", [10, 11, 2**62, 10**30])
+    def test_record_every_past_the_run_records_its_last_step(self,
+                                                             record_every):
+        s = brach.evolve(*family_run(3, "tridiagonal"), 0.1, 1e-2,
+                         record_every)
+        assert s.step.tolist() == [0, 10]
+
+    def test_norm_holds_without_renormalization(self):
+        # psi is never renormalized: the Taylor steps alone keep its norm
+        # to round-off over long runs (measured <= 1e-15 to t = 100)
+        for n, kind in [(3, "tridiagonal"), (4, "antidiagonal"),
+                        (6, "tridiagonal"), (8, "tridiagonal"),
+                        (8, "diagonal")]:
+            traj = brach.evolve(*family_run(n, kind), 100.0, dt=1e-2,
+                                record_every=100)
+            assert traj.norm_drift.max() <= 1e-12, (n, kind)
 
     def test_drift_just_above_the_limit_aborts(self, monkeypatch):
         # one step that moves the spectrum of H + F by about 4e-4: above
@@ -559,14 +569,16 @@ class TestIntegrate:
         # H0 and F0 scaled by 1e3 to t = 0.019 take 104 steps, the first of
         # them long enough for 95.5: under a cap of 100 the first step
         # passes and a later one stops the run, after its first samples
+        # (the block of grid steps 1-256, with every step recorded)
         fam = catalog.family_sun(5, "tridiagonal")
         run = (fam.problem, 1e3 * fam.H0, 1e3 * fam.F0, unit_state(5))
         monkeypatch.setattr(brach, "MAX_STEPS", 100)
         got = []
         with pytest.raises(ValidationError, match="more than 100 Taylor"):
-            for block in brach.integrate(*run, 0.019, 1e-5, 100):
+            for block in brach.integrate(*run, 0.019, 1e-5, 1):
                 got.append(block)
-        assert [b.step[0] for b in got][:2] == [0, 100]
+        assert [(b.step[0], b.step[-1]) for b in got][:2] == [(0, 0),
+                                                              (1, 256)]
 
 
 class TestRk4Path:
@@ -595,21 +607,46 @@ class TestBlockGate:
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("n", [4, 8])
     def test_samples_match_the_per_sample_reference(self, n, record_every):
-        # 600 steps: step 0, then blocks 1-256, 257-512 and 513-600
-        fam = catalog.family_sun(n, "tridiagonal")
-        psi0 = np.zeros(n, dtype=complex)
-        psi0[0] = 1.0
-        args = (fam.problem, fam.H0, fam.F0, psi0, 0.6, 1e-3, record_every)
+        # 600 * record_every + 1 steps: records at the multiples of
+        # record_every up to 600 * record_every, then the last step, so
+        # step 0, then blocks of records 1-256, 257-512 and 513 to the end
+        last = 600 * record_every + 1
+        args = (*family_run(n, "tridiagonal"), last * 1e-3, 1e-3,
+                record_every)
         assert 600 > 2 * brach.SAMPLE_BLOCK
         got = list(brach.integrate(*args))
         want = list(reference_samples(*args))
-        # one block for step 0 and one for each block of steps
+        # one block for step 0 and one for each block of records
         assert [(b.step[0], b.step[-1]) for b in got] == [
-            (0, 0), (record_every, 256 // record_every * record_every),
-            (-(-257 // record_every) * record_every,
-             512 // record_every * record_every),
-            (-(-513 // record_every) * record_every, 600)]
+            (0, 0), (record_every, 256 * record_every),
+            (257 * record_every, 512 * record_every),
+            (513 * record_every, last)]
         assert_samples_equal(got, want)
+
+    @pytest.mark.parametrize("record_every", [1, 7, 10])
+    def test_block_size_changes_no_sample(self, record_every, monkeypatch):
+        # SAMPLE_BLOCK sets only where the blocks end: the samples of a run
+        # and of a stubbed run that aborts, and its DriftAbort, are the same
+        # to the bit at any block size
+        fam = catalog.family_sun(3, "diagonal")
+        run = (*family_run(4, "tridiagonal"), 0.6, 1e-3, record_every)
+        aborting = (fam.problem, fam.H0, fam.F0, unit_state(3), 300.0, 0.3,
+                    record_every)
+        got = []
+        for size in (1, 3, 256):
+            monkeypatch.setattr(brach, "SAMPLE_BLOCK", size)
+            samples = brach.evolve(*run)
+            with monkeypatch.context() as stub:
+                stub_steps(stub, 0.3, shift_f(fam.problem, 2.4e-5))
+                blocks, abort = collect(brach.integrate(*aborting))
+            got.append((samples + brach.Samples.concatenate(blocks), abort))
+        (want, want_abort), *others = got
+        assert want_abort is not None
+        for columns, abort in others:
+            for name, g, w in zip(2 * brach.Samples._fields, columns, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+            assert str(abort) == str(want_abort)
+            assert abort.diagnostics == want_abort.diagnostics
 
     def test_abort_inside_a_block(self, monkeypatch):
         # steps of dt 0.3 that each move the spectrum of H + F by about

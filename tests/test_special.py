@@ -416,7 +416,7 @@ class TestWeighted:
     @pytest.fixture(scope="class")
     @staticmethod
     def rep():
-        return sp.weighted_integrals()
+        return sp.weighted_integrals(sp.ell_polys()["polys"]["b1"])
 
     def test_chebyshev_weight(self, rep):
         assert rep["chebyshev_weight_relative_error"] < 1e-10
